@@ -94,7 +94,7 @@ def main() -> None:
     }
     # one budget per dataset: run each dataset separately
     seeds = ",".join(str(s) for s in range(args.seeds))
-    speed = ["--fit-steps", "10", "--fit-window", "96", "--max-steps", "300"]
+    speed = ["--fit-steps", "10", "--fit-window", "96", "--max-steps", "300", "--refit-period", "5"]
     for did in held_out:
         budget = str(budgets[did])
         run(

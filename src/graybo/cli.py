@@ -289,6 +289,7 @@ def cmd_tune(args) -> int:
         count_overhead=args.count_overhead,
         fit_window=args.fit_window,
         max_steps=args.max_steps,
+        refit_period=args.refit_period,
     )
     checkpoint_path = args.checkpoint if use_meta else None
     if use_meta:
@@ -402,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--fit-window", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--refit-period", type=int, default=1)
     p.add_argument("--count-overhead", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", default="0", help="seed or comma list")

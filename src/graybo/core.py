@@ -329,14 +329,6 @@ class History:
         prior = self._by_pipeline.get(pipeline_id)
         return prior[-1].epoch if prior else 0
 
-    def loss_prefix(self, pipeline_id: int, before_epoch: int) -> list[float]:
-        """Observed losses of the pipeline at epochs strictly below ``before_epoch``."""
-        return [
-            o.val_loss
-            for o in self._by_pipeline.get(pipeline_id, ())
-            if o.epoch < before_epoch
-        ]
-
     def cum_cost_at(self, pipeline_id: int, epoch: int) -> float:
         """Observed cumulative cost at exactly ``epoch``; 0 for epoch <= 0 / unseen."""
         if epoch <= 0:

@@ -194,18 +194,3 @@ def next_step_cost(
     predicted = cp.predict_one(inputs)
     observed = h.cum_cost_at(pipeline_id, tau - ctx.dt)
     return max(predicted - observed, STEP_COST_FLOOR)
-
-
-def step_costs_batch(
-    cp: CostPredictor,
-    pids: list[int],
-    h: History,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-    inputs: PredictorInputs,
-    taus: np.ndarray,
-) -> np.ndarray:
-    """Vectorized ``next_step_cost`` over pre-built candidate inputs."""
-    predicted = cp.predict_batch(inputs)
-    observed = np.array([h.cum_cost_at(pid, int(t) - ctx.dt) for pid, t in zip(pids, taus)])
-    return np.maximum(predicted - observed, STEP_COST_FLOOR)

@@ -140,22 +140,25 @@ def successive_halving(
 ) -> RunTrace:
     """Synchronous successive halving: brackets of eta**s configs race at
     geometric rung budgets; the lowest-loss third (1/eta) is promoted, with
-    epochs resumed from each pipeline's checkpointed progress."""
+    epochs resumed from each pipeline's checkpointed progress.  No pipeline
+    trains past the top rung, and the run ends exhausted once every pipeline
+    has reached it."""
     if eta < 2:
         raise ValueError("eta must be >= 2")
-    if r_min < 1:
-        raise ValueError("r_min must be >= 1")
+    if not 1 <= r_min <= view.n_epochs:
+        raise ValueError(f"r_min must lie in [1, {view.n_epochs}]")
     flags = {"budget_seconds": budget_seconds, "eta": eta, "r_min": r_min, "seed": seed}
     recorder = TraceRecorder("sha", view.dataset_id, seed, flags, budget_seconds)
     h = History()
     rng = substream(seed, "sha", view.dataset_id)
-    n_epochs = view.n_epochs
-    rungs = sha_rungs(n_epochs, eta, r_min)
+    rungs = sha_rungs(view.n_epochs, eta, r_min)
     n0 = eta ** (len(rungs) - 1)
     exhausted = False
 
     while recorder.within_budget():
-        fresh = [pid for pid in range(view.n_pipelines) if h.max_epoch(pid) < n_epochs]
+        # training stops at the top rung, so a pipeline that has reached it
+        # has nothing left to race for
+        fresh = [pid for pid in range(view.n_pipelines) if h.max_epoch(pid) < rungs[-1]]
         if not fresh:
             exhausted = True
             break
@@ -163,7 +166,6 @@ def successive_halving(
         chosen = rng.choice(len(fresh), size=take, replace=False)
         alive = sorted(fresh[i] for i in chosen)
         for level, rung in enumerate(rungs):
-            rung = min(rung, n_epochs)
             for pid in alive:
                 while h.max_epoch(pid) < rung:
                     evaluate_step(view, h, recorder, pid, h.max_epoch(pid) + 1, 1)

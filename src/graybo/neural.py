@@ -1,6 +1,6 @@
 """Minimal differentiable substrate for the predictor networks.
 
-Fixed architectures only: dense layers, 1-D convolutions, ReLU, mean
+Fixed architectures only: dense layers, 1-D convolutions, softplus, mean
 pooling, and Adam.  Every layer exposes ``forward(x) -> (y, cache)`` and
 ``backward(cache, dy) -> dx`` with parameter gradients accumulated into
 the owning :class:`ParamBlock`.  All arithmetic is float64.
@@ -81,15 +81,6 @@ class Dense:
         return dy @ self.W.values.T
 
 
-def relu(x: np.ndarray):
-    mask = x > 0.0
-    return x * mask, mask
-
-
-def relu_backward(mask: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return dy * mask
-
-
 def softplus(x: np.ndarray):
     """Smooth rectifier log(1 + e^x); the predictors use it throughout so
     every objective is C-infinity and finite-difference checkable at every
@@ -166,13 +157,13 @@ class Conv1d:
 
 
 class MLP:
-    """Dense stack with ReLU between layers (linear output).
+    """Dense stack with softplus between layers (linear output).
 
     ``bias_pattern`` controls which layers carry a bias.  Feeding a
     stationary kernel, the output layer's bias is a pure translation of the
     latent space (exactly unidentifiable), and the last hidden layer's
-    biases translate it whenever a ReLU unit is active across the whole
-    batch; such layers should run bias-free.
+    biases nearly translate it whenever a softplus unit sits in its linear
+    region across the whole batch; such layers should run bias-free.
     """
 
     def __init__(
@@ -225,7 +216,7 @@ class MLP:
 
 
 class CurveEncoder:
-    """Two same-padded 1-D convolutions (1->8->8, width 3, ReLU) with a
+    """Two same-padded 1-D convolutions (1->8->8, width 3, softplus) with a
     global mean pool; maps a zero-padded loss curve to an 8-wide embedding."""
 
     channels = 8

@@ -540,8 +540,10 @@ def tune(
         pending = (state.n_rows - 1, pid)
 
     trace = recorder.finish(exhausted=exhausted)
-    if not aborted and trace.steps:
-        assert trace.best() == best_in_history(h)
+    if not aborted and trace.steps and trace.best() != best_in_history(h):
+        raise RuntimeError(
+            f"trace best {trace.best()!r} disagrees with the history's {best_in_history(h)!r}"
+        )
     return trace
 
 

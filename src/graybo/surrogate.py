@@ -10,15 +10,51 @@ marginal likelihood.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy
 from scipy.linalg import solve_triangular
 
 from .core import EncodedPipeline, History, MetaFeatures, SearchSpace
 from .neural import Adam, CurveEncoder, Dense, MLP, NonFiniteGradientError, ParamBlock
+
+
+def single_thread_scipy_blas(libs_dir: str | None = None) -> None:
+    """Run scipy's bundled OpenBLAS (used here only by ``solve_triangular``)
+    on the calling thread.
+
+    A wheel install loads two OpenBLAS libraries, numpy's and scipy's, each
+    with its own thread pool whose idle threads spin for ~0.1 s after every
+    call; on a small machine the two pools fight the main thread for cores.
+    The solves are too small to gain from threads, so scipy's pool is set to
+    one thread once, at import; numpy's pool (gemm, Cholesky) keeps
+    OpenBLAS's defaults.  ``fork`` children inherit the setting.  Only a
+    library that is already loaded is touched, and builds without one (MKL,
+    Accelerate, conda) are left alone.
+    """
+    if libs_dir is None:
+        libs_dir = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+single_thread_scipy_blas()
 
 SQRT5 = math.sqrt(5.0)
 NOISE_FLOOR = 1e-8

@@ -294,6 +294,16 @@ def test_tune_with_checkpoint_enables_meta(bench_dir, tmp_path):
     assert trace["flags"]["use_meta"] is True
 
 
+def test_tune_refit_period_reaches_trace_flags(bench_dir, tmp_path):
+    out = tmp_path / "trace.json"
+    assert main(_tune_args(bench_dir, out, extra=["--refit-period", "5"])) == 0
+    assert json.load(open(out))["flags"]["refit_period"] == 5
+    default = tmp_path / "default.json"
+    assert main(_tune_args(bench_dir, default)) == 0
+    assert json.load(open(default))["flags"]["refit_period"] == 1
+    assert main(_tune_args(bench_dir, tmp_path / "bad.json", extra=["--refit-period", "0"])) == 2
+
+
 def test_tune_grid_writes_one_file_per_run(bench_dir, tmp_path):
     out = tmp_path / "runs"
     args = _tune_args(bench_dir, out, dataset="d00,d01", seed="0,1")

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -189,6 +190,34 @@ def test_sha_promotes_lowest_losses(bench, small_space):
     promoted = {s.pipeline_id for s in trace.steps[9:15]}
     best3 = sorted(rung1, key=lambda pid: (rung1[pid], pid))[:3]
     assert promoted == set(best3)
+
+
+def test_sha_stops_below_horizon_when_every_pipeline_is_at_the_top_rung(tiny_bench, small_space):
+    # 10 epochs, eta=3: rungs 1, 3, 9, so no pipeline is ever trained to
+    # epoch 10; with an unbounded budget the run must still end
+    view = tiny_bench.view(tiny_bench.dataset_ids[0])
+    with pytest.raises(ValueError, match="r_min"):
+        successive_halving(view, small_space, 1e9, r_min=view.n_epochs + 1)
+    guarded = hasattr(signal, "SIGALRM")
+    if guarded:
+
+        def _timeout(signum, frame):
+            raise TimeoutError("successive_halving did not return")
+
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        signal.alarm(20)
+    try:
+        trace = successive_halving(view, small_space, 1e9, eta=3, r_min=1, seed=0)
+    finally:
+        if guarded:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    assert trace.exhausted
+    top = {}
+    for s in trace.steps:
+        top[s.pipeline_id] = max(top.get(s.pipeline_id, 0), s.epoch)
+    assert set(top) == set(range(view.n_pipelines))
+    assert set(top.values()) == {9}
 
 
 def test_sha_deterministic(bench, small_space):

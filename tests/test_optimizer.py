@@ -116,6 +116,15 @@ def test_returned_best_matches_history_minimum(bench, small_space):
     assert trace.best()[2] == best_in_history(h)[2]
 
 
+def test_best_mismatch_with_history_raises(bench, small_space, monkeypatch):
+    # the end-of-run consistency check must survive ``python -O``
+    import graybo.optimizer as optimizer
+
+    monkeypatch.setattr(optimizer, "best_in_history", lambda h: (-1, -1, -1.0))
+    with pytest.raises(RuntimeError, match="disagrees"):
+        _run(bench, small_space, budget_seconds=50.0)
+
+
 def test_full_fidelity_evaluates_whole_curves(bench, small_space):
     trace = _run(bench, small_space, budget_seconds=1e9, full_fidelity=True, use_cost=False)
     n = bench.md.datasets[bench.dataset_ids[0]].n_epochs

@@ -1,7 +1,13 @@
+import ctypes
+import glob
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.neural import fd_noise_floor, grad_check
@@ -18,6 +24,7 @@ from graybo.surrogate import (
     history_inputs,
     kernel_matrix,
     matern52,
+    single_thread_scipy_blas,
 )
 
 N_EPOCHS = 10
@@ -363,3 +370,74 @@ def test_checkpoint_kernel_block_round_trip(ctx):
     gp2.load_kernel_dict(payload)
     assert gp2.kernel.log_ls.values.item() == 0.7
     assert set(payload) == {"log_ls", "log_sv", "log_nv"}
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy
+
+
+def _bundled_openblas(package, pattern):
+    """The package's wheel-bundled OpenBLAS, or None (MKL, conda, macOS)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)), f"{package.__name__}.libs")
+    paths = sorted(glob.glob(os.path.join(libs, pattern)))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+SCIPY_BLAS = _bundled_openblas(scipy, "libscipy_openblas-*.so")
+needs_scipy_openblas = pytest.mark.skipif(
+    SCIPY_BLAS is None or not hasattr(SCIPY_BLAS, "scipy_openblas_get_num_threads"),
+    reason="scipy has no bundled OpenBLAS",
+)
+
+
+def _scipy_threads():
+    return SCIPY_BLAS.scipy_openblas_get_num_threads()
+
+
+@needs_scipy_openblas
+def test_scipy_blas_runs_on_one_thread_after_import():
+    assert _scipy_threads() == 1
+
+
+@needs_scipy_openblas
+def test_numpy_blas_pool_is_left_alone():
+    # a fresh interpreter: numpy's pool size must not change when graybo loads
+    probe = (
+        "import ctypes, glob, os, numpy\n"
+        "libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), 'numpy.libs')\n"
+        "paths = glob.glob(os.path.join(libs, 'libscipy_openblas64_*.so'))\n"
+        "get = getattr(ctypes.CDLL(paths[0]), 'scipy_openblas_get_num_threads64_', None) if paths else None\n"
+        "before = get() if get else -1\n"
+        "import graybo.surrogate\n"
+        "print(before, get() if get else -1)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    before, after = int(out[0]), int(out[1])
+    if before < 0:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    assert after == before
+
+
+@needs_scipy_openblas
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_fork_child_inherits_single_thread_scipy_blas():
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child
+        os.close(read_fd)
+        os.write(write_fd, str(_scipy_threads()).encode())
+        os._exit(0)
+    os.close(write_fd)
+    with os.fdopen(read_fd) as fh:
+        reported = fh.read()
+    os.waitpid(pid, 0)
+    assert reported == "1"
+
+
+def test_single_thread_scipy_blas_without_a_library(tmp_path):
+    single_thread_scipy_blas(str(tmp_path))
+    single_thread_scipy_blas(str(tmp_path / "missing"))
