@@ -79,18 +79,20 @@ class CostPredictor:
         Rows without ``observed_cost`` (training rows) and candidate rows at
         tau = dt take the network's prediction.  A candidate row observed up
         to tau - dt at cumulative cost c gets c + dt * c / (tau - dt): its
-        observed cost plus one step at its observed mean rate.
+        observed cost plus one step at its observed mean rate.  When every
+        row is such a row the network is not run.
         """
-        pred = np.expm1(np.maximum(self.raw_batch(inputs), 0.0))
-        if inputs.observed_cost is not None:
-            prev = np.rint(inputs.tfrac * self.ctx.n_epochs) - self.ctx.dt
-            seen = prev > 0
-            c = inputs.observed_cost[seen]
-            pred[seen] = c + self.ctx.dt * c / prev[seen]
+        if inputs.observed_cost is None:
+            return np.expm1(np.maximum(self.raw_batch(inputs), 0.0))
+        prev = np.rint(inputs.tfrac * self.ctx.n_epochs) - self.ctx.dt
+        seen = prev > 0
+        if seen.all():  # no row needs the network
+            pred = np.empty(len(inputs))
+        else:
+            pred = np.expm1(np.maximum(self.raw_batch(inputs), 0.0))
+        c = inputs.observed_cost[seen]
+        pred[seen] = c + self.ctx.dt * c / prev[seen]
         return pred
-
-    def predict_one(self, inputs: PredictorInputs, index: int = 0) -> float:
-        return float(self.predict_batch(inputs)[index])
 
     def mse_with_grads(
         self, inputs: PredictorInputs, costs: np.ndarray, flat1: np.ndarray | None = None
@@ -191,6 +193,6 @@ def next_step_cost(
     if tau > ctx.n_epochs:
         raise FidelityExhaustedError(f"pipeline {pipeline_id} already at the last epoch")
     inputs, _ = candidate_inputs([pipeline_id], h, encodings, ctx)
-    predicted = cp.predict_one(inputs)
+    predicted = float(cp.predict_batch(inputs)[0])
     observed = h.cum_cost_at(pipeline_id, tau - ctx.dt)
     return max(predicted - observed, STEP_COST_FLOOR)

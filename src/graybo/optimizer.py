@@ -18,8 +18,6 @@ from typing import Any
 
 import numpy as np
 
-from scipy.linalg import solve_triangular
-
 from .acquisition import (
     AcqConfig,
     SearchExhaustedError,
@@ -39,6 +37,7 @@ from .surrogate import (
     _chol_with_jitter,
     kernel_matrix,
     scale_meta,
+    solve_lower,
 )
 
 log = logging.getLogger("graybo.optimizer")
@@ -356,7 +355,9 @@ class _ScoreCache:
     A refit rebuilds everything; between refits each evaluation appends one
     training row (rank-1 Cholesky extension) and refreshes the evaluated
     pipeline's candidate column, so a non-refit iteration costs O(n^2)
-    instead of O(n^3).
+    instead of O(n^3).  Its two triangular solves read L in place from the
+    first n rows of the (cap x cap) buffer (``solve_lower``) instead of
+    copying an n x n block.
     """
 
     def __init__(self, gp: DeepKernelGP, cp: CostPredictor | None, state: _RunState) -> None:
@@ -377,10 +378,10 @@ class _ScoreCache:
         self.L[:n, :n] = L
         y_norm = gp.normalize(y)
         self.w = np.empty(self.Ztr.shape[0])
-        self.w[:n] = solve_triangular(L, y_norm, lower=True)
+        self.w[:n] = solve_lower(L, y_norm)
         Ks = kernel_matrix(self.Ztr[:n], self.Zc, gp.kernel)
         self.V = np.empty((self.Ztr.shape[0], n_pipe))
-        self.V[:n] = solve_triangular(L, Ks, lower=True)
+        self.V[:n] = solve_lower(L, Ks)
         self.colnorm2 = (self.V[:n] ** 2).sum(axis=0)
         self.n = n
         self.cost_pred = cp.predict_batch(cand_inputs) if cp is not None else None
@@ -410,9 +411,9 @@ class _ScoreCache:
         n = self.n
         z_new = gp.features_batch(state.train_row(row_index))[0]
         b = kernel_matrix(self.Ztr[:n], z_new[None, :], gp.kernel)[:, 0]
-        wvec = solve_triangular(self.L[:n, :n], b, lower=True)
+        wvec = solve_lower(self.L[:n], b)
         d2 = self.diag - float(wvec @ wvec)
-        if d2 <= 1e-10:
+        if not d2 > 1e-10:  # NaN too: never write a NaN pivot into L
             raise _NeedsRebuild
         d = math.sqrt(d2)
         self.L[n, :n] = wvec
@@ -429,7 +430,7 @@ class _ScoreCache:
         zc = gp.features_batch(state.candidate_row(pid))[0]
         self.Zc[pid] = zc
         ks_col = kernel_matrix(self.Ztr[: self.n], zc[None, :], gp.kernel)[:, 0]
-        col = solve_triangular(self.L[: self.n, : self.n], ks_col, lower=True)
+        col = solve_lower(self.L[: self.n], ks_col)
         self.V[: self.n, pid] = col
         self.colnorm2[pid] = float(col @ col)
         if self.cp is not None:

@@ -19,15 +19,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .core import EncodedPipeline, History, MetaFeatures, SearchSpace
 from .neural import Adam, CurveEncoder, Dense, MLP, NonFiniteGradientError, ParamBlock
 
 
 def single_thread_scipy_blas(libs_dir: str | None = None) -> None:
-    """Run scipy's bundled OpenBLAS (used here only by ``solve_triangular``)
-    on the calling thread.
+    """Run scipy's bundled OpenBLAS (used here only by the LAPACK ``trtrs``
+    triangular solves of ``solve_lower``) on the calling thread.
 
     A wheel install loads two OpenBLAS libraries, numpy's and scipy's, each
     with its own thread pool whose idle threads spin for ~0.1 s after every
@@ -284,15 +284,45 @@ def kernel_matrix(Z1: np.ndarray, Z2: np.ndarray, kernel: KernelParams) -> np.nd
 
 
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``A + jitter * I`` at the first jitter of
+    ``JITTER_LADDER`` that succeeds.
+
+    The factor is checked finite here, once, so ``solve_lower`` need not
+    scan it on every solve (a NaN in ``A`` can pass ``cholesky`` silently).
+    """
     for jitter in JITTER_LADDER:
         try:
             L = np.linalg.cholesky(A + jitter * np.eye(A.shape[0]))
-            return L, jitter
         except np.linalg.LinAlgError:
             continue
+        if not np.isfinite(L).all():
+            raise ValueError("Cholesky factor must not contain infs or NaNs")
+        return L, jitter
     raise SingularKernelError(
         f"Gram matrix of size {A.shape[0]} not positive definite after jitter escalation"
     )
+
+
+def solve_lower(L_rows: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve ``L x = b`` (``L^T x = b`` with ``transpose``) for a finite
+    lower-triangular L held in the leading n x n square of ``L_rows``, the
+    first n = len(b) rows of a C-ordered buffer.
+
+    ``L_rows.T`` is a Fortran-ordered upper-triangular matrix whose leading
+    dimension is the buffer's width, so LAPACK ``trtrs`` reads L in place:
+    the call ``scipy.linalg.solve_triangular`` makes, without its copy of a
+    strided slice or its O(n^2) finiteness scan of L (``_chol_with_jitter``
+    checks L once).  A non-finite ``b`` raises ``ValueError`` and a zero
+    pivot ``LinAlgError``, as ``solve_triangular`` does.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+    x, info = dtrtrs(L_rows.T, b, lower=0, trans=0 if transpose else 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK trtrs")
+    return x
 
 
 @dataclass
@@ -386,8 +416,8 @@ class DeepKernelGP:
         L, _ = _chol_with_jitter(A)
         Ks = kernel_matrix(Z_train, Z_test, self.kernel)
         Kss = kernel_matrix(Z_test, Z_test, self.kernel)
-        V = solve_triangular(L, Ks, lower=True)
-        w = solve_triangular(L, y_n, lower=True)
+        V = solve_lower(L, Ks)
+        w = solve_lower(L, y_n)
         mean_n = V.T @ w
         cov_n = Kss - V.T @ V
         cov_n = 0.5 * (cov_n + cov_n.T)
@@ -408,7 +438,7 @@ class DeepKernelGP:
         if not np.all(np.isfinite(A)):
             return math.inf
         L, _ = _chol_with_jitter(A)
-        w = solve_triangular(L, y_n, lower=True)
+        w = solve_lower(L, y_n)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         return 0.5 * float(w @ w) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
 
@@ -433,12 +463,12 @@ class DeepKernelGP:
         if not np.all(np.isfinite(A)):
             return math.inf
         L, _ = _chol_with_jitter(A)
-        w = solve_triangular(L, y_n, lower=True)
-        alpha = solve_triangular(L.T, w, lower=False)
+        w = solve_lower(L, y_n)
+        alpha = solve_lower(L, w, transpose=True)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         value = 0.5 * float(w @ w) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
 
-        Linv = solve_triangular(L, np.eye(n), lower=True)
+        Linv = solve_lower(L, np.eye(n))
         Ainv = Linv.T @ Linv
         G = 0.5 * (Ainv - np.outer(alpha, alpha))
 

@@ -225,3 +225,28 @@ def test_training_rows_keep_net_prediction(ctx, small_space):
     assert inputs.observed_cost is None
     cp = _LowCumulative(ctx, substream(18, "cp"))
     assert np.allclose(cp.predict_batch(inputs), 1.0)
+
+
+def test_all_observed_rows_skip_the_network(ctx, small_space, monkeypatch):
+    # every row is priced from its observed cost, which overwrites the net's
+    # output: the net must not run, and the prices must not change
+    encs = _encodings(small_space, substream(19, "skip"), 4)
+    h = History()
+    for pid in range(3):
+        for ep in range(1, pid + 2):
+            h.append(Observation(pid, ep, 0.5, 1.5 * ep + pid))
+    cp = CostPredictor(ctx, substream(20, "cp"))
+    calls = []
+    real = cp.raw_batch
+    monkeypatch.setattr(cp, "raw_batch", lambda inputs: calls.append(len(inputs)) or real(inputs))
+    observed, _ = candidate_inputs([0, 1, 2], h, encs, ctx)
+    priced = cp.predict_batch(observed)
+    assert calls == []
+    c = observed.observed_cost
+    assert np.array_equal(priced, c + c / np.array([1.0, 2.0, 3.0]))
+    # one unobserved row brings the net back, for every row of the batch
+    mixed, _ = candidate_inputs([0, 1, 2, 3], h, encs, ctx)
+    mixed_priced = cp.predict_batch(mixed)
+    assert calls == [4]
+    assert np.array_equal(mixed_priced[:3], priced)
+    assert mixed_priced[3] == np.expm1(max(real(mixed)[3], 0.0))

@@ -246,23 +246,23 @@ def test_incumbent_curve_empty_trace_raises():
         incumbent_curve(RunTrace(method="m", dataset="d", seed=0, flags={}))
 
 
-def test_score_cache_incremental_matches_rebuild(bench, small_space, meta_features):
-    # rank-1 Cholesky appends and column refreshes must reproduce a full
-    # recomputation of the posterior moments
+def _cache_fixture(bench, space):
+    """A run state with three observations, a briefly fitted GP and a fresh
+    score cache over it, plus an ``observe(pid)`` that appends the
+    pipeline's next epoch to both the state and a History."""
+    from types import SimpleNamespace
+
+    from graybo.core import Observation, encode
     from graybo.costmodel import CostPredictor
     from graybo.optimizer import _RunState, _ScoreCache
     from graybo.rng import substream
     from graybo.surrogate import DeepKernelGP, PredictorContext
-    from graybo.core import encode
 
     view = bench.view(bench.dataset_ids[0])
-    ctx = PredictorContext.from_space(small_space, view.meta, view.n_epochs, 1)
-    encodings = {
-        pid: encode(view.pipeline(pid), small_space) for pid in range(view.n_pipelines)
-    }
+    ctx = PredictorContext.from_space(space, view.meta, view.n_epochs, 1)
+    encodings = {pid: encode(view.pipeline(pid), space) for pid in range(view.n_pipelines)}
     state = _RunState(view, ctx, encodings)
     h = History()
-    from graybo.core import Observation
 
     def observe(pid):
         epoch = h.max_epoch(pid) + 1
@@ -276,22 +276,54 @@ def test_score_cache_incremental_matches_rebuild(bench, small_space, meta_featur
     cp = CostPredictor(ctx, substream(0, "cache-cp"))
     inputs, y, _ = state.train_inputs(None)
     gp.fit(inputs, y, steps=5, lr=1e-3)
-    cache = _ScoreCache(gp, cp, state)
-    for pid in (3, 0, 4, 1):
-        observe(pid)
+    return SimpleNamespace(
+        view=view, ctx=ctx, encodings=encodings, state=state, h=h, observe=observe,
+        gp=gp, cp=cp, cache=_ScoreCache(gp, cp, state),
+    )
+
+
+def test_score_cache_incremental_matches_rebuild(tiny_bench, small_space):
+    # rank-1 Cholesky appends and column refreshes must reproduce a full
+    # recomputation of the posterior moments, also after the buffers grow
+    # past their initial 64 rows (the factor's leading dimension changes)
+    from graybo.optimizer import _ScoreCache
+    from graybo.surrogate import candidate_inputs
+
+    f = _cache_fixture(tiny_bench, small_space)
+    cache, state, cp = f.cache, f.state, f.cp
+    cap0 = cache.L.shape[0]
+    order = [3, 0, 4, 1] + [pid for _ in range(6) for pid in range(f.view.n_pipelines)]
+    for pid in order:
+        f.observe(pid)
         cache.apply_evaluation(state, state.n_rows - 1, pid)
-    fresh = _ScoreCache(gp, cp, state)
-    pool = np.arange(view.n_pipelines)
+    assert state.n_rows == 3 + len(order) > cap0 == 64
+    assert cache.L.shape[0] > cap0
+    fresh = _ScoreCache(f.gp, cp, state)
+    pool = np.arange(f.view.n_pipelines)
     m1, s1 = cache.moments(pool)
     m2, s2 = fresh.moments(pool)
     assert np.allclose(m1, m2, atol=1e-9)
     assert np.allclose(s1, s2, atol=1e-9)
     assert np.allclose(cache.costs(pool), fresh.costs(pool), atol=1e-12)
     # the History-based candidate inputs price every next step the same way
-    from graybo.surrogate import candidate_inputs
-
-    hist_inputs, _ = candidate_inputs(list(pool), h, encodings, ctx)
+    hist_inputs, _ = candidate_inputs(list(pool), f.h, f.encodings, f.ctx)
     assert np.allclose(cache.costs(pool), cp.predict_batch(hist_inputs), rtol=1e-12, atol=1e-12)
+
+
+def test_rank1_update_rejects_a_nan_latent(bench, small_space, monkeypatch):
+    # a NaN latent for the appended row must raise, not reach the factor
+    from graybo.surrogate import LATENT_WIDTH, DeepKernelGP
+
+    f = _cache_fixture(bench, small_space)
+    f.observe(3)
+    monkeypatch.setattr(
+        DeepKernelGP,
+        "features_batch",
+        lambda self, inputs: np.full((len(inputs), LATENT_WIDTH), np.nan),
+    )
+    with pytest.raises(ValueError):
+        f.cache.apply_evaluation(f.state, f.state.n_rows - 1, 3)
+    assert np.isfinite(f.cache.L).all()
 
 
 def test_cost_aware_loop_never_floor_clamps_an_observed_step(bench, small_space, monkeypatch):

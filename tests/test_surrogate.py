@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
+from scipy.linalg import solve_triangular
 
 from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.neural import fd_noise_floor, grad_check
@@ -25,6 +27,7 @@ from graybo.surrogate import (
     kernel_matrix,
     matern52,
     single_thread_scipy_blas,
+    solve_lower,
 )
 
 N_EPOCHS = 10
@@ -370,6 +373,82 @@ def test_checkpoint_kernel_block_round_trip(ctx):
     gp2.load_kernel_dict(payload)
     assert gp2.kernel.log_ls.values.item() == 0.7
     assert set(payload) == {"log_ls", "log_sv", "log_nv"}
+
+
+# ---------------------------------------------------------------------------
+# triangular solves
+
+
+def _factor(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n + 3))
+    return np.linalg.cholesky(X @ X.T + n * np.eye(n)), rng
+
+
+def _wide(L, cap, fill):
+    """L in the leading square of a (cap x cap) C-ordered buffer."""
+    buf = np.full((cap, cap), fill)
+    n = L.shape[0]
+    buf[:n, :n] = L
+    return buf
+
+
+@pytest.mark.parametrize("n", [1, 7, 96, 300])
+@pytest.mark.parametrize("ncols", [None, 5])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_solve_lower_is_bit_identical_to_solve_triangular(n, ncols, transpose):
+    L, rng = _factor(n, n)
+    b = rng.standard_normal(n if ncols is None else (n, ncols))
+    expected = solve_triangular(L.T, b, lower=False) if transpose else solve_triangular(L, b, lower=True)
+    assert np.array_equal(solve_lower(L, b, transpose=transpose), expected)
+    buf = _wide(L, 2 * n + 3, 0.0)
+    assert np.array_equal(solve_lower(buf[:n], b, transpose=transpose), expected)
+    if not transpose:  # the strided-slice call the score cache used to make
+        assert np.array_equal(solve_triangular(buf[:n, :n], b, lower=True), expected)
+    # only L's triangle is read: NaN everywhere else in the buffer is inert
+    nan_buf = _wide(np.tril(L) + np.triu(np.full((n, n), np.nan), 1), 2 * n + 3, np.nan)
+    assert np.array_equal(solve_lower(nan_buf[:n], b, transpose=transpose), expected)
+
+
+def test_solve_lower_zero_pivot_raises():
+    L, rng = _factor(5, 0)
+    L[2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_lower(L, rng.standard_normal(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_lower_rejects_non_finite_rhs(bad):
+    L, rng = _factor(5, 1)
+    b = rng.standard_normal(5)
+    b[3] = bad
+    with pytest.raises(ValueError):
+        solve_lower(L, b)
+
+
+def test_chol_with_jitter_rejects_non_finite_factor():
+    # cholesky lets a NaN off the diagonal through; the factor check stops it
+    A = 2.0 * np.eye(3)
+    A[0, 1] = A[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        _chol_with_jitter(A)
+
+
+def test_solve_lower_reads_a_wide_buffer_in_place():
+    # 512 rows of a 1024-wide factor buffer: a copy of L would take 2 MiB,
+    # a solve in place only its O(n) result
+    n = 512
+    L, rng = _factor(n, 2)
+    buf = _wide(L, 2 * n, 0.0)
+    b = rng.standard_normal(n)
+    solve_lower(buf[:n], b)
+    tracemalloc.start()
+    try:
+        solve_lower(buf[:n], b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * 8
 
 
 # ---------------------------------------------------------------------------
