@@ -1,47 +1,28 @@
-"""Expected Improvement, its cost-per-unit variant, and candidate selection.
+"""Expected Improvement, its cost-per-unit variant, and the argmax.
 
-Scores are computed for a pipeline's next unobserved epoch: the EI of
+``ei_scores`` scores each candidate's next unobserved epoch: the EI of
 beating the incumbent loss at that fidelity, optionally divided by the
 predicted incremental cost of training that one step,
 max(c_hat(x, tau) - c(x, tau - dt), STEP_COST_FLOOR).  ``c_hat`` comes from
 ``CostPredictor.predict_batch``: the cost network's prediction for an
 unobserved pipeline, and for an observed one its observed cumulative cost
 plus one step at its observed mean rate, so that step is never priced by
-the difference of two nearly equal cumulative costs.
+the difference of two nearly equal cumulative costs.  The tuning loop's
+score cache supplies the posterior moments and cost predictions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .core import EncodedPipeline, History, incumbent_loss, query_epoch
-from .costmodel import STEP_COST_FLOOR, CostPredictor
-from .surrogate import DeepKernelGP, PredictorContext, PredictorInputs, candidate_inputs
+from .costmodel import STEP_COST_FLOOR
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-class SearchExhaustedError(RuntimeError):
-    """Raised when every candidate pipeline has reached the final epoch."""
-
-
-@dataclass(frozen=True)
-class AcqConfig:
-    cost_aware: bool = True
-    dt: int = 1
-    candidate_cap: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.dt < 1:
-            raise ValueError("dt must be >= 1")
-        if self.candidate_cap < 1:
-            raise ValueError("candidate_cap must be >= 1")
 
 
 def norm_cdf(u: np.ndarray | float) -> np.ndarray | float:
@@ -75,24 +56,6 @@ def expected_improvement_batch(mu: np.ndarray, sigma: np.ndarray, incumbent: np.
     return out
 
 
-def incumbent_lookup(h: History, max_epoch: int) -> np.ndarray:
-    """incumbent_loss(h, e) for every epoch 1..max_epoch in one history pass."""
-    min_at = np.full(max_epoch + 1, np.inf)
-    for o in h:
-        if o.epoch <= max_epoch and o.val_loss < min_at[o.epoch]:
-            min_at[o.epoch] = o.val_loss
-    below = np.full(max_epoch + 1, np.inf)
-    running = np.inf
-    for e in range(1, max_epoch + 1):
-        below[e] = running
-        if min_at[e] < running:
-            running = min_at[e]
-    table = np.where(np.isfinite(min_at), min_at, below)
-    overall = min(running, np.inf)
-    table = np.where(np.isfinite(table), table, overall)
-    return table
-
-
 def ei_scores(
     mean: np.ndarray,
     std: np.ndarray,
@@ -101,8 +64,9 @@ def ei_scores(
     observed_cum: np.ndarray | None,
     cost_aware: bool,
 ) -> np.ndarray:
-    """Final acquisition values from posterior moments and cost estimates
-    (the single scoring tail every selection path goes through)."""
+    """Acquisition values from posterior moments and cost estimates: EI,
+    divided by max(predicted_cost - observed_cum, STEP_COST_FLOOR) when
+    ``cost_aware``."""
     ei = expected_improvement_batch(mean, std, incumbents)
     if not cost_aware:
         return ei
@@ -110,74 +74,6 @@ def ei_scores(
         raise ValueError("cost-aware scoring needs a cost predictor")
     denom = np.maximum(predicted_cost - observed_cum, STEP_COST_FLOOR)
     return ei / denom
-
-
-def scores_from_arrays(
-    gp: DeepKernelGP,
-    cp: CostPredictor | None,
-    train_Z: np.ndarray,
-    train_y: np.ndarray,
-    cand_inputs: PredictorInputs,
-    incumbents: np.ndarray,
-    observed_cum: np.ndarray | None,
-    cost_aware: bool,
-) -> np.ndarray:
-    """Acquisition scores from fully materialized arrays."""
-    Z_test = gp.features_batch(cand_inputs)
-    post = gp.posterior(train_Z, train_y, Z_test)
-    predicted = None
-    if cost_aware:
-        if cp is None:
-            raise ValueError("cost-aware scoring needs a cost predictor")
-        predicted = cp.predict_batch(cand_inputs)
-    return ei_scores(post.mean, post.std, incumbents, predicted, observed_cum, cost_aware)
-
-
-def score_candidates(
-    pids: Sequence[int],
-    h: History,
-    gp: DeepKernelGP,
-    cp: CostPredictor | None,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-    cfg: AcqConfig,
-    train_Z: np.ndarray | None = None,
-    train_y: np.ndarray | None = None,
-) -> np.ndarray:
-    """EI (per unit cost when ``cfg.cost_aware``) for each candidate's next
-    epoch.  ``train_Z``/``train_y`` may carry precomputed conditioning data;
-    otherwise the GP conditions on the full history."""
-    pids = list(pids)
-    inputs, taus = candidate_inputs(pids, h, encodings, ctx)
-    if train_Z is None:
-        from .surrogate import history_inputs
-
-        hist_inputs, train_y, _ = history_inputs(h, encodings, ctx)
-        train_Z = gp.features_batch(hist_inputs)
-    incumbents = np.array([incumbent_loss(h, int(t)) for t in taus])
-    observed = np.array(
-        [h.cum_cost_at(pid, int(t) - ctx.dt) for pid, t in zip(pids, taus)]
-    )
-    return scores_from_arrays(
-        gp, cp, train_Z, train_y, inputs, incumbents, observed, cfg.cost_aware
-    )
-
-
-def ei_per_unit_cost(
-    pipeline_id: int,
-    h: History,
-    gp: DeepKernelGP,
-    cp: CostPredictor | None,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-    cfg: AcqConfig,
-) -> float:
-    """Score one candidate; with cost-awareness off this is plain EI."""
-    if query_epoch(h, pipeline_id, cfg.dt) > ctx.n_epochs:
-        raise SearchExhaustedError(f"pipeline {pipeline_id} is fidelity-exhausted")
-    return float(
-        score_candidates([pipeline_id], h, gp, cp, encodings, ctx, cfg)[0]
-    )
 
 
 def argmax_lowest_id(pool: Sequence[int], scores: np.ndarray) -> int:
@@ -192,33 +88,10 @@ def argmax_lowest_id(pool: Sequence[int], scores: np.ndarray) -> int:
 
 
 def subsample_pool(pool: list[int], cap: int, rng: np.random.Generator) -> list[int]:
+    """At most ``cap`` pipelines of ``pool``, drawn without replacement and
+    kept in pool order."""
     if len(pool) <= cap:
         return pool
     idx = rng.choice(len(pool), size=cap, replace=False)
     return [pool[i] for i in sorted(idx)]
 
-
-def select_next(
-    candidates: Sequence[int],
-    h: History,
-    gp: DeepKernelGP,
-    cp: CostPredictor | None,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-    cfg: AcqConfig,
-    rng: np.random.Generator,
-    train_Z: np.ndarray | None = None,
-    train_y: np.ndarray | None = None,
-) -> int:
-    """Argmax of the acquisition over the candidate pool.
-
-    Fidelity-exhausted pipelines are excluded up front; pools larger than
-    the candidate cap are subsampled with the run's generator.  Exact score
-    ties break toward the lowest pipeline id.
-    """
-    pool = [pid for pid in candidates if query_epoch(h, pid, cfg.dt) <= ctx.n_epochs]
-    if not pool:
-        raise SearchExhaustedError("every candidate pipeline is fidelity-exhausted")
-    pool = subsample_pool(pool, cfg.candidate_cap, rng)
-    scores = score_candidates(pool, h, gp, cp, encodings, ctx, cfg, train_Z, train_y)
-    return argmax_lowest_id(pool, scores)

@@ -21,7 +21,6 @@ from .core import (
     ModelInfo,
     Pipeline,
     SearchSpace,
-    dim_active,
     encode,
     sample_pipeline,
 )

@@ -14,10 +14,9 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 
 from . import benchtab, evalkit, metalearn
-from .core import ModelInfo, SearchSpace, load_space, save_space, space_from_dict
+from .core import SearchSpace, load_space, save_space, space_from_dict
 from .optimizer import TuneConfig, tune
 from .surrogate import SingularKernelError
 

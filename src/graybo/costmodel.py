@@ -1,5 +1,4 @@
-"""Point-estimate runtime-cost predictor and the per-step cost used in the
-acquisition denominator.
+"""Point-estimate runtime-cost predictor.
 
 The network mirrors the surrogate's feature extractor (independent
 weights) with a scalar head regressing log(1 + cumulative cost seconds);
@@ -16,44 +15,22 @@ tau is formed in one of two ways:
   from its own observed cost: c_hat = c + dt * c / (tau - dt), the cost so
   far plus one step at its observed mean rate.
 
-The acquisition divides by c_hat(x, tau) - c(x, tau - dt), so an observed
-pipeline's step is its observed rate and cannot cancel to the floor through
-a few-percent error in a cumulative prediction ~tau/dt times larger than
-the step it prices.
+``acquisition.ei_scores`` divides by c_hat(x, tau) - c(x, tau - dt), so an
+observed pipeline's step is its observed rate and cannot cancel to the
+floor through a few-percent error in a cumulative prediction ~tau/dt times
+larger than the step it prices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .core import EncodedPipeline, History, query_epoch
-from .neural import Adam, Dense, NonFiniteGradientError, ParamBlock
-from .surrogate import (
-    LATENT_WIDTH,
-    FeatureExtractor,
-    PredictorContext,
-    PredictorInputs,
-    candidate_inputs,
-    history_inputs,
-)
+from .neural import Dense, FitReport, ParamBlock, fit_best
+from .surrogate import LATENT_WIDTH, FeatureExtractor, PredictorContext, PredictorInputs
 
 STEP_COST_FLOOR = 1e-6
-
-
-class FidelityExhaustedError(RuntimeError):
-    """Raised when a pipeline's next epoch lies beyond the benchmark horizon."""
-
-
-@dataclass
-class CostFitReport:
-    initial_mse: float
-    final_mse: float
-    steps: int
-    rolled_back: bool = False
 
 
 class CostPredictor:
@@ -121,78 +98,18 @@ class CostPredictor:
         costs: np.ndarray,
         steps: int = 100,
         lr: float = 1e-4,
-    ) -> CostFitReport:
-        """Full-batch Adam on the log-cost squared error; keeps the best
-        parameters seen, rolling back entirely on a non-finite loss."""
+    ) -> FitReport:
+        """Full-batch Adam on the log-cost squared error through
+        ``fit_best``: the best parameters seen are kept, and a non-finite
+        loss or gradient rolls back."""
         costs = np.asarray(costs, dtype=np.float64)
         if len(costs) == 0:
-            return CostFitReport(initial_mse=math.nan, final_mse=math.nan, steps=0)
-        params = self.params()
-        pre_fit = [p.values.copy() for p in params]
-        adam = Adam(params, lr)
-        best_val = math.inf
-        best_state: list[np.ndarray] | None = None
-        initial = math.nan
+            return FitReport(math.nan, math.nan, 0)
         flat1 = self.fx.curve_encoder.unroll(inputs.curves) if steps > 0 else None
-        for step in range(steps):
-            adam.zero_grad()
-            val = self.mse_with_grads(inputs, costs, flat1=flat1)
-            if step == 0:
-                initial = val
-            if not math.isfinite(val):
-                for p, saved in zip(params, pre_fit):
-                    p.values[...] = saved
-                return CostFitReport(initial_mse=initial, final_mse=initial, steps=step, rolled_back=True)
-            if val < best_val:
-                best_val = val
-                best_state = [p.values.copy() for p in params]
-            try:
-                adam.step()
-            except NonFiniteGradientError:
-                for p, saved in zip(params, pre_fit):
-                    p.values[...] = saved
-                return CostFitReport(initial_mse=initial, final_mse=initial, steps=step, rolled_back=True)
-        final = self.mse(inputs, costs)
-        if not (math.isfinite(final) and final <= best_val):
-            for p, saved in zip(params, best_state):
-                p.values[...] = saved
-            final = best_val
-        return CostFitReport(initial_mse=initial, final_mse=final, steps=steps)
-
-
-def fit_on_history(
-    cp: CostPredictor,
-    h: History,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-    steps: int = 100,
-    lr: float = 1e-4,
-    window: int | None = None,
-) -> CostFitReport:
-    if len(h) == 0:
-        return CostFitReport(initial_mse=math.nan, final_mse=math.nan, steps=0)
-    inputs, _, costs = history_inputs(h, encodings, ctx, window=window)
-    return cp.fit(inputs, costs, steps=steps, lr=lr)
-
-
-def next_step_cost(
-    cp: CostPredictor,
-    pipeline_id: int,
-    h: History,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-) -> float:
-    """Predicted incremental cost of evaluating the pipeline's next epoch:
-    predicted cumulative cost minus the observed cumulative cost one step
-    earlier (zero for unobserved pipelines), clamped to a small positive floor.
-
-    For an unobserved pipeline this is the network's cumulative prediction;
-    for an observed one ``predict_batch`` prices the step at the pipeline's
-    observed mean cost per epoch, so the difference is dt times that rate."""
-    tau = query_epoch(h, pipeline_id, ctx.dt)
-    if tau > ctx.n_epochs:
-        raise FidelityExhaustedError(f"pipeline {pipeline_id} already at the last epoch")
-    inputs, _ = candidate_inputs([pipeline_id], h, encodings, ctx)
-    predicted = float(cp.predict_batch(inputs)[0])
-    observed = h.cum_cost_at(pipeline_id, tau - ctx.dt)
-    return max(predicted - observed, STEP_COST_FLOOR)
+        return fit_best(
+            self.params(),
+            lambda: self.mse_with_grads(inputs, costs, flat1=flat1),
+            lambda: self.mse(inputs, costs),
+            steps,
+            lr,
+        )

@@ -1,13 +1,13 @@
 """Baseline optimizers, normalized-regret and rank metrics, and CSV reports.
 
-Every baseline funnels evaluations through the same TraceRecorder as the
-main loop, so simulated-second budgets mean the same thing across methods.
+Every baseline evaluates through the main loop's ``evaluate_step`` and
+its TraceRecorder, so simulated-second budgets mean the same thing across
+methods.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import os
 import warnings
 from typing import Iterable, Mapping, Sequence

@@ -10,9 +10,7 @@ early-stopping signal; the best-so-far parameters become the checkpoint.
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +35,6 @@ from .surrogate import (
     PredictorInputs,
     SingularKernelError,
     assemble_inputs,
-    scale_meta,
 )
 
 MAX_CONSECUTIVE_SKIPS = 50

@@ -1,7 +1,8 @@
 """Minimal differentiable substrate for the predictor networks.
 
 Fixed architectures only: dense layers, 1-D convolutions, softplus, mean
-pooling, and Adam.  Every layer exposes ``forward(x) -> (y, cache)`` and
+pooling, Adam, and the best-state fit loop (``fit_best``) that both
+predictors train with.  Every layer exposes ``forward(x) -> (y, cache)`` and
 ``backward(cache, dy) -> dx`` with parameter gradients accumulated into
 the owning :class:`ParamBlock`.  All arithmetic is float64.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,6 +312,66 @@ class Adam:
         delta = self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
         for p, sl in zip(self.params, self._slices):
             p.values -= delta[sl].reshape(p.values.shape)
+
+
+@dataclass
+class FitReport:
+    """Objective before the first and after the last step of a fit;
+    ``rolled_back`` marks a fit undone by a non-finite loss or gradient."""
+
+    initial: float
+    final: float
+    steps: int
+    rolled_back: bool = False
+
+
+def _restore(params: Sequence[ParamBlock], state: Sequence[np.ndarray]) -> None:
+    for p, saved in zip(params, state):
+        p.values[...] = saved
+
+
+def fit_best(
+    params: Sequence[ParamBlock],
+    loss_and_grads: Callable[[], float],
+    loss: Callable[[], float],
+    steps: int,
+    lr: float,
+) -> FitReport:
+    """Full-batch Adam from the current parameters, keeping the best seen.
+
+    ``loss_and_grads`` evaluates the objective and accumulates its gradient
+    into ``params``; ``loss`` evaluates it alone.  A non-finite loss or
+    gradient puts the parameters back as they were before the fit.
+    Otherwise the parameters with the lowest loss seen are kept, so the
+    final loss never exceeds the initial one.  With ``steps == 0`` the
+    parameters are left as they are.
+    """
+    pre_fit = [p.values.copy() for p in params]
+    adam = Adam(params, lr)
+    best_val = math.inf
+    best_state: list[np.ndarray] | None = None
+    initial = math.nan
+    for step in range(steps):
+        adam.zero_grad()
+        val = loss_and_grads()
+        if step == 0:
+            initial = val
+        if not math.isfinite(val):
+            _restore(params, pre_fit)
+            return FitReport(initial, initial, step, rolled_back=True)
+        if val < best_val:
+            best_val = val
+            best_state = [p.values.copy() for p in params]
+        try:
+            adam.step()
+        except NonFiniteGradientError:
+            _restore(params, pre_fit)
+            return FitReport(initial, initial, step, rolled_back=True)
+    final = loss()
+    if best_state is not None and not (math.isfinite(final) and final <= best_val):
+        _restore(params, best_state)
+        final = best_val
+    return FitReport(initial, final, steps)
 
 
 def grad_check(

@@ -18,13 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .acquisition import (
-    AcqConfig,
-    SearchExhaustedError,
-    argmax_lowest_id,
-    ei_scores,
-    subsample_pool,
-)
+from .acquisition import argmax_lowest_id, ei_scores, subsample_pool
 from .benchtab import BenchmarkQueryError, DatasetView
 from .core import History, Observation, SearchSpace, best_in_history, encode, query_epoch
 from .costmodel import CostPredictor
@@ -41,6 +35,9 @@ from .surrogate import (
 )
 
 log = logging.getLogger("graybo.optimizer")
+
+# most candidates scored per iteration; larger pools are subsampled
+CANDIDATE_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,10 @@ class TuneConfig:
             raise ValueError("dt must be >= 1")
         if self.refit_period < 1:
             raise ValueError("refit_period must be >= 1")
+        if self.fit_steps < 0:
+            raise ValueError("fit_steps must be >= 0")
+        if self.fit_window is not None and self.fit_window < 1:
+            raise ValueError("fit_window must be >= 1")
 
     def flags(self) -> dict:
         return {
@@ -218,14 +219,16 @@ class TraceRecorder:
 
 def evaluate_step(
     view: DatasetView, h: History, recorder: TraceRecorder, pipeline_id: int, epoch: int, dt: int
-) -> None:
-    """Query the benchmark at the pipeline's next epoch and log the result."""
+) -> tuple[float, float]:
+    """Query the benchmark at the pipeline's next epoch, log the result and
+    return its (loss, cumulative cost)."""
     loss, cum_cost = view.query(pipeline_id, epoch)
     step_cost = cum_cost - h.cum_cost_at(pipeline_id, epoch - dt)
     h.append(
         Observation(pipeline_id=pipeline_id, epoch=epoch, val_loss=loss, cum_cost=cum_cost)
     )
     recorder.record(pipeline_id, epoch, loss, step_cost)
+    return loss, cum_cost
 
 
 class _RunState:
@@ -482,19 +485,15 @@ def tune(
 
     init_rng = substream(cfg.seed, "tune", view.dataset_id, "init-sample")
     acq_rng = substream(cfg.seed, "tune", view.dataset_id, "acquisition")
-    acq_cfg = AcqConfig(cost_aware=cfg.use_cost, dt=dt)
 
     def run_step(pid: int) -> bool:
         epoch = query_epoch(h, pid, dt)
         try:
-            loss, cum_cost = view.query(pid, epoch)
+            loss, cum_cost = evaluate_step(view, h, recorder, pid, epoch, dt)
         except BenchmarkQueryError as exc:
             log.warning("benchmark query failed, returning partial trace: %s", exc)
             return False
-        step_cost = cum_cost - h.cum_cost_at(pid, epoch - dt)
-        h.append(Observation(pipeline_id=pid, epoch=epoch, val_loss=loss, cum_cost=cum_cost))
         state.record(pid, epoch, loss, cum_cost)
-        recorder.record(pid, epoch, loss, step_cost)
         return True
 
     first_pid = int(init_rng.integers(view.n_pipelines))
@@ -524,7 +523,7 @@ def tune(
         if not pool:
             exhausted = True
             break
-        pool = subsample_pool(pool, acq_cfg.candidate_cap, acq_rng)
+        pool = subsample_pool(pool, CANDIDATE_CAP, acq_rng)
         idx = np.asarray(pool, dtype=np.int64)
         mean, std = cache.moments(idx)
         incumbents = state.incumbent_table()[state.cand_tau[idx] - 1]

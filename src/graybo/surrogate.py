@@ -14,7 +14,7 @@ import ctypes
 import glob
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ import scipy
 from scipy.linalg.lapack import dtrtrs
 
 from .core import EncodedPipeline, History, MetaFeatures, SearchSpace
-from .neural import Adam, CurveEncoder, Dense, MLP, NonFiniteGradientError, ParamBlock
+from .neural import CurveEncoder, Dense, FitReport, MLP, ParamBlock, fit_best
 
 
 def single_thread_scipy_blas(libs_dir: str | None = None) -> None:
@@ -171,29 +171,6 @@ def history_inputs(
     return inputs, y, costs
 
 
-def candidate_inputs(
-    pids: Sequence[int],
-    h: History,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-) -> tuple[PredictorInputs, np.ndarray]:
-    """Query rows at each candidate's next epoch, with everything observed
-    so far as its curve input and its observed cumulative cost one step
-    earlier as ``observed_cost``.  Returns inputs plus the query epochs."""
-    encs, curves, epochs, observed = [], [], [], []
-    for pid in pids:
-        encs.append(encodings[pid])
-        pairs = [(o.epoch, o.val_loss) for o in h.of_pipeline(pid)]
-        curves.append(build_curve(ctx.n_epochs, pairs))
-        last = h.max_epoch(pid)
-        epochs.append(last + ctx.dt)
-        observed.append(h.cum_cost_at(pid, last))
-    taus = np.asarray(epochs, dtype=np.int64)
-    inputs = assemble_inputs(ctx, encs, curves, list(epochs))
-    inputs.observed_cost = np.asarray(observed, dtype=np.float64)
-    return inputs, taus
-
-
 class FeatureExtractor:
     """Model embedding + curve encoder + trunk MLP -> 32-wide latent."""
 
@@ -259,16 +236,6 @@ class KernelParams:
     @property
     def noise_var(self) -> float:
         return float(np.exp(self.log_nv.values)) + NOISE_FLOOR
-
-
-def matern52(z1: np.ndarray, z2: np.ndarray, kernel: KernelParams) -> float:
-    """Matern-5/2 covariance between two latent vectors."""
-    z1, z2 = np.asarray(z1), np.asarray(z2)
-    if z1.shape != z2.shape:
-        raise ValueError("latent vectors must share a width")
-    r = float(np.linalg.norm(z1 - z2))
-    u = SQRT5 * r / kernel.lengthscale
-    return kernel.signal_var * (1.0 + u + u * u / 3.0) * math.exp(-u)
 
 
 def _pairwise_sqdist(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -339,14 +306,6 @@ class Posterior:
     @property
     def std(self) -> np.ndarray:
         return np.sqrt(self.variance)
-
-
-@dataclass
-class FitReport:
-    initial_nll: float
-    final_nll: float
-    steps: int
-    rolled_back: bool = False
 
 
 class DeepKernelGP:
@@ -493,47 +452,22 @@ class DeepKernelGP:
     ) -> FitReport:
         """Full-batch Adam on the NLL, warm from current parameters.
 
-        Target normalization is recomputed first.  The best parameters seen
-        during the run (the initial ones included) are kept, so the final
-        NLL never exceeds the initial one; a non-finite NLL rolls back to
-        the pre-fit state.
+        Target normalization is recomputed first; ``fit_best`` then keeps
+        the best parameters seen and rolls back on a non-finite NLL or
+        gradient.
         """
         y = np.asarray(y, dtype=np.float64)
         if len(y) == 0:
-            return FitReport(initial_nll=math.nan, final_nll=math.nan, steps=0)
+            return FitReport(math.nan, math.nan, 0)
         self.set_normalization(y)
-        params = self.params()
-        pre_fit = [p.values.copy() for p in params]
-        adam = Adam(params, lr)
-        best_val = math.inf
-        best_state: list[np.ndarray] | None = None
-        initial = math.nan
         flat1 = self.fx.curve_encoder.unroll(inputs.curves) if steps > 0 else None
-        for step in range(steps):
-            adam.zero_grad()
-            val = self.nll_with_grads(inputs, y, flat1=flat1)
-            if step == 0:
-                initial = val
-            if not math.isfinite(val):
-                for p, saved in zip(params, pre_fit):
-                    p.values[...] = saved
-                return FitReport(initial_nll=initial, final_nll=initial, steps=step, rolled_back=True)
-            if val < best_val:
-                best_val = val
-                best_state = [p.values.copy() for p in params]
-            try:
-                adam.step()
-            except NonFiniteGradientError:
-                for p, saved in zip(params, pre_fit):
-                    p.values[...] = saved
-                return FitReport(initial_nll=initial, final_nll=initial, steps=step, rolled_back=True)
-        Z = self.features_batch(inputs)
-        final = self.nll(Z, y)
-        if not (math.isfinite(final) and final <= best_val):
-            for p, saved in zip(params, best_state):
-                p.values[...] = saved
-            final = best_val
-        return FitReport(initial_nll=initial, final_nll=final, steps=steps)
+        return fit_best(
+            self.params(),
+            lambda: self.nll_with_grads(inputs, y, flat1=flat1),
+            lambda: self.nll(self.features_batch(inputs), y),
+            steps,
+            lr,
+        )
 
     # -- persistence ----------------------------------------------------------
 
@@ -549,18 +483,3 @@ class DeepKernelGP:
         self.kernel.log_sv.values[...] = payload["log_sv"]
         self.kernel.log_nv.values[...] = payload["log_nv"]
 
-
-def fit_on_history(
-    gp: DeepKernelGP,
-    h: History,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-    steps: int = 100,
-    lr: float = 1e-4,
-    window: int | None = None,
-) -> FitReport:
-    """Refit the surrogate on the current history (no-op when empty)."""
-    if len(h) == 0:
-        return FitReport(initial_nll=math.nan, final_nll=math.nan, steps=0)
-    inputs, y, _ = history_inputs(h, encodings, ctx, window=window)
-    return gp.fit(inputs, y, steps=steps, lr=lr)

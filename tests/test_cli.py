@@ -304,6 +304,15 @@ def test_tune_refit_period_reaches_trace_flags(bench_dir, tmp_path):
     assert main(_tune_args(bench_dir, tmp_path / "bad.json", extra=["--refit-period", "0"])) == 2
 
 
+@pytest.mark.parametrize(
+    "flag", [["--fit-steps", "-3"], ["--fit-window", "0"]], ids=["fit-steps", "fit-window"]
+)
+def test_tune_rejects_negative_fit_steps_and_empty_fit_window(bench_dir, tmp_path, flag):
+    out = tmp_path / "bad.json"
+    assert main(_tune_args(bench_dir, out, extra=flag)) == 2
+    assert not out.exists()
+
+
 def test_tune_grid_writes_one_file_per_run(bench_dir, tmp_path):
     out = tmp_path / "runs"
     args = _tune_args(bench_dir, out, dataset="d00,d01", seed="0,1")

@@ -3,17 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracle import replay
+
+from graybo.acquisition import ei_scores
 from graybo.core import History, Observation, encode, sample_pipeline
-from graybo.costmodel import (
-    STEP_COST_FLOOR,
-    CostPredictor,
-    FidelityExhaustedError,
-    fit_on_history,
-    next_step_cost,
-)
+from graybo.costmodel import STEP_COST_FLOOR, CostPredictor
 from graybo.neural import fd_noise_floor, grad_check
 from graybo.rng import substream
-from graybo.surrogate import PredictorContext, candidate_inputs, history_inputs
+from graybo.surrogate import PredictorContext, history_inputs
 
 N_EPOCHS = 10
 
@@ -67,7 +64,8 @@ def test_fit_learns_linear_cost_table(ctx, small_space):
 def test_fit_empty_history_is_noop(ctx):
     cp = CostPredictor(ctx, substream(4, "cp"))
     before = [p.values.copy() for p in cp.params()]
-    report = fit_on_history(cp, History(), {}, ctx)
+    inputs, _, costs = history_inputs(History(), {}, ctx)
+    report = cp.fit(inputs, costs)
     assert report.steps == 0
     for p, b in zip(cp.params(), before):
         assert np.array_equal(p.values, b)
@@ -84,7 +82,7 @@ def test_fit_never_increases_loss(ctx, small_space):
         inputs, _, costs = history_inputs(h, encs, ctx)
         cp = CostPredictor(ctx, substream(seed, "cpc"))
         report = cp.fit(inputs, costs, steps=25, lr=1e-3)
-        assert report.final_mse <= report.initial_mse + 1e-12
+        assert report.final <= report.initial + 1e-12
 
 
 def test_zero_cost_history_drives_raw_toward_zero(ctx, small_space):
@@ -127,7 +125,16 @@ def test_gradients_match_finite_differences(ctx, small_space):
 
 
 # ---------------------------------------------------------------------------
-# next_step_cost
+# the next step's cost, as tune's acquisition divides by it
+
+
+def _step_cost(cp, state, pid):
+    """max(c_hat - c, STEP_COST_FLOOR) for the pipeline's next epoch, read
+    back from ``ei_scores`` at an EI of exactly one."""
+    predicted = cp.predict_batch(state.candidate_row(pid))
+    zero, one = np.zeros(1), np.ones(1)
+    observed = state.cand_last_cum[pid : pid + 1]
+    return 1.0 / float(ei_scores(zero, zero, one, predicted, observed, True)[0])
 
 
 class _FixedCost(CostPredictor):
@@ -142,35 +149,31 @@ class _FixedCost(CostPredictor):
 
 
 def test_next_step_cost_unobserved_pipeline(ctx, small_space):
-    encs = _encodings(small_space, substream(9, "nc"), 1)
-    cp = _FixedCost(ctx, 12.5)
-    assert next_step_cost(cp, 0, History(), encs, ctx) == pytest.approx(12.5)
+    state = replay(ctx, _encodings(small_space, substream(9, "nc"), 1), History())
+    assert _step_cost(_FixedCost(ctx, 12.5), state, 0) == pytest.approx(12.5, rel=1e-15)
 
 
 def test_next_step_cost_subtracts_observed(ctx, small_space):
-    encs = _encodings(small_space, substream(10, "nc"), 1)
     h = History()
     h.append(Observation(0, 1, 0.5, 27.0))
-    cp = _FixedCost(ctx, 30.0)
-    assert next_step_cost(cp, 0, h, encs, ctx) == pytest.approx(3.0)
+    state = replay(ctx, _encodings(small_space, substream(10, "nc"), 1), h)
+    assert _step_cost(_FixedCost(ctx, 30.0), state, 0) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_next_step_cost_clamped_to_floor(ctx, small_space):
-    encs = _encodings(small_space, substream(11, "nc"), 1)
     h = History()
     h.append(Observation(0, 1, 0.5, 27.0))
-    cp = _FixedCost(ctx, 25.0)
-    assert next_step_cost(cp, 0, h, encs, ctx) == STEP_COST_FLOOR
+    state = replay(ctx, _encodings(small_space, substream(11, "nc"), 1), h)
+    assert _step_cost(_FixedCost(ctx, 25.0), state, 0) == pytest.approx(STEP_COST_FLOOR, rel=1e-15)
 
 
 def test_next_step_cost_rejects_exhausted_pipeline(ctx, small_space):
-    encs = _encodings(small_space, substream(12, "nc"), 1)
+    # a fully trained pipeline has no next step to price: it leaves the pool
     h = History()
     for ep in range(1, N_EPOCHS + 1):
         h.append(Observation(0, ep, 0.5, float(ep)))
-    cp = _FixedCost(ctx, 100.0)
-    with pytest.raises(FidelityExhaustedError):
-        next_step_cost(cp, 0, h, encs, ctx)
+    state = replay(ctx, _encodings(small_space, substream(12, "nc"), 2), h)
+    assert state.candidate_pool() == [1]
 
 
 def test_next_step_cost_always_positive(ctx, small_space):
@@ -182,9 +185,10 @@ def test_next_step_cost_always_positive(ctx, small_space):
         for ep in range(1, 5):
             cost += float(rng.uniform(0.0, 100.0))
             h.append(Observation(pid, ep, 0.5, cost))
+    state = replay(ctx, encs, h)
     cp = CostPredictor(ctx, substream(14, "cp"))
     for pid in range(5):
-        assert next_step_cost(cp, pid, h, encs, ctx) >= STEP_COST_FLOOR
+        assert _step_cost(cp, state, pid) >= STEP_COST_FLOOR
 
 
 class _LowCumulative(CostPredictor):
@@ -205,14 +209,15 @@ def test_observed_step_priced_at_observed_rate(small_space, meta_features, dt):
     h = History()
     for ep in range(dt, 3 * dt + 1, dt):
         h.append(Observation(0, ep, 0.5, 2.0 * ep))
+    state = replay(ctx, encs, h)
     cp = _LowCumulative(ctx, substream(16, "cp"))
-    denom = next_step_cost(cp, 0, h, encs, ctx)
+    denom = _step_cost(cp, state, 0)
     assert denom != STEP_COST_FLOOR
     assert denom == pytest.approx(2.0 * dt, rel=1e-12)
-    inputs, _ = candidate_inputs([0, 1], h, encs, ctx)
+    inputs = state.candidate_arrays([0, 1])
     assert np.allclose(cp.predict_batch(inputs), [2.0 * (3 * dt + dt), 1.0], rtol=1e-12)
     # an unobserved pipeline keeps the net's prediction
-    assert next_step_cost(cp, 1, h, encs, ctx) == pytest.approx(1.0)
+    assert _step_cost(cp, state, 1) == pytest.approx(1.0)
 
 
 def test_training_rows_keep_net_prediction(ctx, small_space):
@@ -239,13 +244,14 @@ def test_all_observed_rows_skip_the_network(ctx, small_space, monkeypatch):
     calls = []
     real = cp.raw_batch
     monkeypatch.setattr(cp, "raw_batch", lambda inputs: calls.append(len(inputs)) or real(inputs))
-    observed, _ = candidate_inputs([0, 1, 2], h, encs, ctx)
+    state = replay(ctx, encs, h)
+    observed = state.candidate_arrays([0, 1, 2])
     priced = cp.predict_batch(observed)
     assert calls == []
     c = observed.observed_cost
     assert np.array_equal(priced, c + c / np.array([1.0, 2.0, 3.0]))
     # one unobserved row brings the net back, for every row of the batch
-    mixed, _ = candidate_inputs([0, 1, 2, 3], h, encs, ctx)
+    mixed = state.candidate_arrays([0, 1, 2, 3])
     mixed_priced = cp.predict_batch(mixed)
     assert calls == [4]
     assert np.array_equal(mixed_priced[:3], priced)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from graybo.core import History, Observation, encode, sample_pipeline
+from graybo.costmodel import CostPredictor
 from graybo.neural import (
     Adam,
     CheckpointFormatError,
@@ -15,12 +17,14 @@ from graybo.neural import (
     ParamBlock,
     blocks_to_payload,
     fd_noise_floor,
+    fit_best,
     grad_check,
     load_into_blocks,
     payload_to_arrays,
     softplus,
 )
 from graybo.rng import substream
+from graybo.surrogate import DeepKernelGP, PredictorContext, history_inputs
 
 
 def _mlp(seed=0, widths=(6, 32, 32, 1)):
@@ -242,6 +246,80 @@ def test_adam_rejects_non_finite_gradient():
     with pytest.raises(NonFiniteGradientError):
         opt.step()
     assert p.values.item() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# fit_best
+
+
+class _Scripted:
+    """An objective that plays back ``values``, one per gradient evaluation,
+    with a unit gradient (NaN at ``nan_grad_at``), recording the parameters
+    it was evaluated at."""
+
+    def __init__(self, block, values, nan_grad_at=None):
+        self.block = block
+        self.values = list(values)
+        self.nan_grad_at = nan_grad_at
+        self.seen = []
+
+    def __call__(self):
+        k = len(self.seen)
+        self.seen.append(self.block.values.copy())
+        self.block.grad[...] = np.nan if k == self.nan_grad_at else 1.0
+        return self.values[k]
+
+
+def _block():
+    return ParamBlock("p", np.array([1.0, -2.0]))
+
+
+def test_fit_best_rolls_back_on_a_non_finite_loss_at_step_k():
+    p = _block()
+    objective = _Scripted(p, [5.0, 3.0, math.nan, 1.0])
+    report = fit_best([p], objective, lambda: 0.0, steps=4, lr=0.1)
+    assert (report.initial, report.final, report.steps, report.rolled_back) == (5.0, 5.0, 2, True)
+    assert np.array_equal(p.values, [1.0, -2.0])
+    assert not np.array_equal(objective.seen[2], [1.0, -2.0])  # it had moved
+
+
+def test_fit_best_rolls_back_on_a_non_finite_gradient():
+    p = _block()
+    objective = _Scripted(p, [5.0, 3.0, 2.0, 1.0], nan_grad_at=2)
+    report = fit_best([p], objective, lambda: 0.0, steps=4, lr=0.1)
+    assert (report.initial, report.final, report.steps, report.rolled_back) == (5.0, 5.0, 2, True)
+    assert np.array_equal(p.values, [1.0, -2.0])
+
+
+def test_fit_best_keeps_the_best_state_when_the_final_loss_is_worse():
+    p = _block()
+    objective = _Scripted(p, [5.0, 3.0, 4.0, 6.0])
+    report = fit_best([p], objective, lambda: 10.0, steps=4, lr=0.1)
+    assert (report.initial, report.final, report.steps, report.rolled_back) == (5.0, 3.0, 4, False)
+    assert np.array_equal(p.values, objective.seen[1])
+
+
+@pytest.mark.parametrize("model", [DeepKernelGP, CostPredictor])
+def test_predictor_fit_with_a_nan_weight_keeps_parameters(model, small_space, meta_features):
+    # a NaN trunk weight makes the loss non-finite: a zero-step fit returns
+    # a report and a fit with steps rolls back, both leaving the parameters
+    ctx = PredictorContext.from_space(small_space, meta_features, 10, 1)
+    h = History()
+    for pid in range(3):
+        for ep in range(1, 4):
+            h.append(Observation(pid, ep, 0.5 / ep + 0.1 * pid, 2.0 * ep))
+    rng = substream(30, "nan-fit")
+    encs = {pid: encode(sample_pipeline(small_space, rng), small_space) for pid in range(3)}
+    inputs, y, costs = history_inputs(h, encs, ctx)
+    net = model(ctx, substream(31, "nan-fit"))
+    net.fx.trunk.layers[0].W.values[0, 0] = np.nan
+    before = [p.values.copy() for p in net.params()]
+    for steps in (0, 3):
+        report = net.fit(inputs, y if model is DeepKernelGP else costs, steps=steps, lr=1e-3)
+        assert report.steps == 0 and report.rolled_back == (steps > 0)
+        assert not math.isfinite(report.final)
+        for p, b in zip(net.params(), before):
+            assert np.array_equal(p.values, b, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

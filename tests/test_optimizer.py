@@ -199,6 +199,11 @@ def test_config_validation():
         TuneConfig(budget_seconds=0.0)
     with pytest.raises(ValueError):
         TuneConfig(budget_seconds=1.0, dt=0)
+    with pytest.raises(ValueError):
+        TuneConfig(budget_seconds=1.0, fit_steps=-1)
+    with pytest.raises(ValueError):
+        TuneConfig(budget_seconds=1.0, fit_window=0)
+    TuneConfig(budget_seconds=1.0, fit_steps=0, fit_window=1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +291,10 @@ def test_score_cache_incremental_matches_rebuild(tiny_bench, small_space):
     # rank-1 Cholesky appends and column refreshes must reproduce a full
     # recomputation of the posterior moments, also after the buffers grow
     # past their initial 64 rows (the factor's leading dimension changes)
+    from oracle import candidate_inputs, reference_scores
+
+    from graybo.acquisition import ei_scores
     from graybo.optimizer import _ScoreCache
-    from graybo.surrogate import candidate_inputs
 
     f = _cache_fixture(tiny_bench, small_space)
     cache, state, cp = f.cache, f.state, f.cp
@@ -305,9 +312,19 @@ def test_score_cache_incremental_matches_rebuild(tiny_bench, small_space):
     assert np.allclose(m1, m2, atol=1e-9)
     assert np.allclose(s1, s2, atol=1e-9)
     assert np.allclose(cache.costs(pool), fresh.costs(pool), atol=1e-12)
-    # the History-based candidate inputs price every next step the same way
+    # the History-based reference gives the same moments, prices every next
+    # step the same way and ends in the same scores
     hist_inputs, _ = candidate_inputs(list(pool), f.h, f.encodings, f.ctx)
     assert np.allclose(cache.costs(pool), cp.predict_batch(hist_inputs), rtol=1e-12, atol=1e-12)
+    live = state.candidate_pool()
+    idx = np.asarray(live)
+    m_ref, s_ref, scores_ref = reference_scores(live, f.h, f.gp, cp, f.encodings, f.ctx, True)
+    mean, std = cache.moments(idx)
+    assert np.allclose(mean, m_ref, atol=1e-9)
+    assert np.allclose(std, s_ref, atol=1e-9)
+    incumbents = state.incumbent_table()[state.cand_tau[idx] - 1]
+    scores = ei_scores(mean, std, incumbents, cache.costs(idx), state.cand_last_cum[idx], True)
+    assert np.allclose(scores, scores_ref, rtol=1e-8, atol=0.0)
 
 
 def test_rank1_update_rejects_a_nan_latent(bench, small_space, monkeypatch):
