@@ -243,6 +243,29 @@ def test_select_next_excludes_exhausted(small_space, meta_features):
         assert state.candidate_pool() == []
 
 
+def test_select_next_all_exhausted_raises(small_space, ctx):
+    # once every pipeline is fully trained the pool is empty: tune ends the
+    # run exhausted instead of scoring
+    encodings, h, gp, cp = _setup(small_space, ctx, seed=6)
+    for pid in encodings:
+        start = h.max_epoch(pid) + 1
+        for ep in range(start, N_EPOCHS + 1):
+            h.append(Observation(pid, ep, 0.5, 100.0 + ep))
+    assert replay(ctx, encodings, h).candidate_pool() == []
+
+
+def test_ei_per_unit_cost_rejects_exhausted(small_space, ctx):
+    # a fully trained pipeline is never scored; the others still are
+    encodings, h, gp, cp = _setup(small_space, ctx, seed=7)
+    for ep in range(3, N_EPOCHS + 1):
+        h.append(Observation(0, ep, 0.5, 100.0 + ep))
+    state = replay(ctx, encodings, h)
+    pool = state.candidate_pool()
+    assert pool == [1, 2, 3]
+    scores = _cache_scores(state, _ScoreCache(gp, cp, state), pool, cost_aware=True)
+    assert np.all(np.isfinite(scores)) and np.all(scores >= 0.0)
+
+
 def test_candidate_cap_subsamples_deterministically():
     pool = list(range(3, 40, 3))
     pick1 = subsample_pool(pool, 5, substream(5, "r"))
