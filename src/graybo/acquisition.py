@@ -34,19 +34,9 @@ def norm_pdf(u: np.ndarray | float) -> np.ndarray | float:
     return INV_SQRT_2PI * np.exp(-0.5 * u * u)
 
 
-def expected_improvement(mu: float, sigma: float, incumbent: float) -> float:
-    """Closed-form EI for minimization: E[max(incumbent - loss, 0)] under
-    loss ~ N(mu, sigma^2); collapses to max(incumbent - mu, 0) at sigma = 0."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    gap = incumbent - mu
-    if sigma == 0.0:
-        return max(gap, 0.0)
-    u = gap / sigma
-    return float(gap * norm_cdf(u) + sigma * norm_pdf(u))
-
-
 def expected_improvement_batch(mu: np.ndarray, sigma: np.ndarray, incumbent: np.ndarray) -> np.ndarray:
+    """Closed-form EI for minimization, E[max(incumbent - loss, 0)] under
+    loss ~ N(mu, sigma^2), per row; max(incumbent - mu, 0) where sigma = 0."""
     gap = incumbent - mu
     out = np.maximum(gap, 0.0)
     pos = sigma > 0.0

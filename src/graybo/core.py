@@ -318,9 +318,6 @@ class History:
         self._observations.append(obs)
         self._by_pipeline.setdefault(obs.pipeline_id, []).append(obs)
 
-    def pipeline_ids(self) -> list[int]:
-        return list(self._by_pipeline)
-
     def of_pipeline(self, pipeline_id: int) -> Sequence[Observation]:
         return tuple(self._by_pipeline.get(pipeline_id, ()))
 

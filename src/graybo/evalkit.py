@@ -1,7 +1,8 @@
 """Baseline optimizers, normalized-regret and rank metrics, and CSV reports.
 
-Every baseline evaluates through the main loop's ``evaluate_step`` and
-its TraceRecorder, so simulated-second budgets mean the same thing across
+Every baseline records its evaluations in the tuning loop's run-state
+(``optimizer._RunState.evaluate``), which prices each step and writes it
+to the trace, so simulated-second budgets mean the same thing across
 methods.
 """
 
@@ -16,8 +17,8 @@ import numpy as np
 from scipy import stats as sstats
 
 from .benchtab import DatasetView, TabularBenchmark
-from .core import History, SearchSpace
-from .optimizer import RunTrace, TraceRecorder, TuneConfig, evaluate_step, tune
+from .core import SearchSpace
+from .optimizer import RunTrace, TraceRecorder, TuneConfig, _RunState, tune
 from .rng import substream
 
 log = logging.getLogger("graybo.evalkit")
@@ -97,25 +98,26 @@ def random_search(
 ) -> RunTrace:
     """Uniformly sample a pipeline (among those with epochs left) and train
     it epoch-by-epoch to the horizon, repeating until the budget is crossed."""
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     flags = {"budget_seconds": budget_seconds, "seed": seed, "max_steps": max_steps}
     recorder = TraceRecorder("random", view.dataset_id, seed, flags, budget_seconds)
-    h = History()
+    state = _RunState(view.n_pipelines, view.n_epochs, 1, recorder)
     rng = substream(seed, "random", view.dataset_id)
-    n_epochs = view.n_epochs
     exhausted = False
     while recorder.within_budget():
-        if max_steps is not None and recorder.n_steps >= max_steps:
+        if max_steps is not None and state.n_rows >= max_steps:
             break
-        fresh = [pid for pid in range(view.n_pipelines) if h.max_epoch(pid) < n_epochs]
+        fresh = state.candidate_pool()
         if not fresh:
             exhausted = True
             break
         pid = fresh[int(rng.integers(len(fresh)))]
-        while h.max_epoch(pid) < n_epochs:
-            evaluate_step(view, h, recorder, pid, h.max_epoch(pid) + 1, 1)
+        while state.cand_tau[pid] <= view.n_epochs:
+            state.evaluate(view, pid)
             if not recorder.within_budget():
                 break
-            if max_steps is not None and recorder.n_steps >= max_steps:
+            if max_steps is not None and state.n_rows >= max_steps:
                 break
     return recorder.finish(exhausted=exhausted)
 
@@ -149,7 +151,7 @@ def successive_halving(
         raise ValueError(f"r_min must lie in [1, {view.n_epochs}]")
     flags = {"budget_seconds": budget_seconds, "eta": eta, "r_min": r_min, "seed": seed}
     recorder = TraceRecorder("sha", view.dataset_id, seed, flags, budget_seconds)
-    h = History()
+    state = _RunState(view.n_pipelines, view.n_epochs, 1, recorder)
     rng = substream(seed, "sha", view.dataset_id)
     rungs = sha_rungs(view.n_epochs, eta, r_min)
     n0 = eta ** (len(rungs) - 1)
@@ -158,7 +160,7 @@ def successive_halving(
     while recorder.within_budget():
         # training stops at the top rung, so a pipeline that has reached it
         # has nothing left to race for
-        fresh = [pid for pid in range(view.n_pipelines) if h.max_epoch(pid) < rungs[-1]]
+        fresh = [int(p) for p in np.flatnonzero(state.cand_tau <= rungs[-1])]
         if not fresh:
             exhausted = True
             break
@@ -167,16 +169,13 @@ def successive_halving(
         alive = sorted(fresh[i] for i in chosen)
         for level, rung in enumerate(rungs):
             for pid in alive:
-                while h.max_epoch(pid) < rung:
-                    evaluate_step(view, h, recorder, pid, h.max_epoch(pid) + 1, 1)
+                while state.cand_tau[pid] <= rung:
+                    state.evaluate(view, pid)
                     if not recorder.within_budget():
                         return recorder.finish(exhausted=False)
             if level == len(rungs) - 1:
                 break
-            scores = sorted(
-                (next(o.val_loss for o in h.of_pipeline(pid) if o.epoch == rung), pid)
-                for pid in alive
-            )
+            scores = sorted((state.cand_curves[pid, rung - 1], pid) for pid in alive)
             keep = max(1, len(alive) // eta)
             alive = sorted(pid for _, pid in scores[:keep])
     return recorder.finish(exhausted=exhausted)

@@ -374,58 +374,6 @@ def fit_best(
     return FitReport(initial, final, steps)
 
 
-def grad_check(
-    blocks: Sequence[ParamBlock],
-    loss_fn: Callable[[], float],
-    grad_fn: Callable[[], None],
-    h: float = 1e-5,
-    noise_floor: float = 0.0,
-) -> float:
-    """Max relative disagreement between analytic gradients and central
-    finite differences over every scalar parameter:
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-
-    ``loss_fn`` evaluates the objective at the current parameters;
-    ``grad_fn`` zeroes and then fills every block's ``grad``.
-
-    Central differences carry an irreducible absolute error of order
-    eps * |f| / h from rounding inside the objective; disagreements no
-    larger than ``noise_floor`` are below the oracle's resolution and
-    count as exact agreement when a positive floor is given.
-    """
-    grad_fn()
-    analytic = [b.grad.copy() for b in blocks]
-    worst = 0.0
-    for b, g in zip(blocks, analytic):
-        flat = b.values.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            step = h * max(1.0, abs(orig))
-            flat[i] = orig + step
-            hi = loss_fn()
-            flat[i] = orig - step
-            lo = loss_fn()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            gap = abs(gflat[i] - numeric)
-            if gap <= noise_floor:
-                continue
-            denom = max(1e-8, abs(gflat[i]) + abs(numeric))
-            worst = max(worst, gap / denom)
-    return worst
-
-
-def fd_noise_floor(f_scale: float, h: float = 1e-5, chain: float = 4e3) -> float:
-    """Resolution bound of the central-difference oracle for an objective
-    of magnitude ``f_scale``: rounding noise amplified through the
-    evaluation chain plus same-order truncation on stiff objectives,
-    divided by the step.  The chain constant is calibrated against the
-    GP marginal-likelihood evaluation path."""
-    eps = np.finfo(np.float64).eps
-    return chain * eps * max(1.0, abs(f_scale)) / h
-
-
 # ---------------------------------------------------------------------------
 # Parameter checkpoint ("qtck-1"): versioned JSON of base64 float64 blocks.
 

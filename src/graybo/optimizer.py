@@ -1,10 +1,14 @@
 """Budgeted gray-box Bayesian-optimization loop over a tabular benchmark.
 
 One run: a mandatory random first evaluation, then repeatedly refit the
-loss and cost predictors on the history, pick the candidate maximizing
-expected improvement per unit cost at its next epoch, evaluate one epoch
-step, and append the observation, until the simulated-seconds budget is
+loss and cost predictors on the observations so far, pick the candidate
+maximizing expected improvement per unit cost at its next epoch, and
+evaluate that one epoch step, until the simulated-seconds budget is
 crossed or every pipeline is fully trained.
+
+``_RunState`` is the one record of a run's observations, for this loop and
+for the baselines in ``evalkit``: it queries each step, prices it and
+writes it to the trace through ``TraceRecorder``.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .acquisition import argmax_lowest_id, ei_scores, subsample_pool
 from .benchtab import BenchmarkQueryError, DatasetView
-from .core import History, Observation, SearchSpace, best_in_history, encode, query_epoch
+from .core import EncodedPipeline, HistoryOrderError, SearchSpace, encode
 from .costmodel import CostPredictor
 from .rng import substream
 from .surrogate import (
@@ -77,6 +81,10 @@ class TuneConfig:
             raise ValueError("fit_steps must be >= 0")
         if self.fit_window is not None and self.fit_window < 1:
             raise ValueError("fit_window must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be finite and > 0")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
     def flags(self) -> dict:
         return {
@@ -173,8 +181,9 @@ class RunTrace:
 
 
 class TraceRecorder:
-    """Shared budget accounting: every optimizer funnels evaluations through
-    here so simulated-seconds semantics are identical across methods."""
+    """Shared budget accounting and trace writer: every optimizer's
+    evaluations reach it through ``_RunState.evaluate``, so simulated-seconds
+    semantics are identical across methods."""
 
     def __init__(self, method: str, dataset: str, seed: int, flags: dict, budget: float) -> None:
         self.budget = budget
@@ -182,21 +191,13 @@ class TraceRecorder:
         self._cum = 0.0
         self._incumbent = np.inf
 
-    @property
-    def cum_time(self) -> float:
-        return self._cum
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.trace.steps)
-
     def within_budget(self) -> bool:
         return self._cum <= self.budget
 
-    def add_overhead(self, seconds: float, count_in_budget: bool) -> None:
+    def add_overhead(self, seconds: float) -> None:
+        """Charge decision time to the trace and to the budget."""
         self.trace.overhead_seconds += seconds
-        if count_in_budget:
-            self._cum += seconds
+        self._cum += seconds
 
     def record(self, pipeline_id: int, epoch: int, loss: float, step_cost: float) -> None:
         self._cum += step_cost
@@ -217,134 +218,116 @@ class TraceRecorder:
         return self.trace
 
 
-def evaluate_step(
-    view: DatasetView, h: History, recorder: TraceRecorder, pipeline_id: int, epoch: int, dt: int
-) -> tuple[float, float]:
-    """Query the benchmark at the pipeline's next epoch, log the result and
-    return its (loss, cumulative cost)."""
-    loss, cum_cost = view.query(pipeline_id, epoch)
-    step_cost = cum_cost - h.cum_cost_at(pipeline_id, epoch - dt)
-    h.append(
-        Observation(pipeline_id=pipeline_id, epoch=epoch, val_loss=loss, cum_cost=cum_cost)
-    )
-    recorder.record(pipeline_id, epoch, loss, step_cost)
-    return loss, cum_cost
+@dataclass(frozen=True)
+class _Encodings:
+    """Per-pipeline input blocks the predictors' inputs are gathered from:
+    hyperparameters, model one-hot and the scaled meta-features (the same
+    row for every pipeline)."""
+
+    hp: np.ndarray
+    onehot: np.ndarray
+    meta: np.ndarray
+
+    @classmethod
+    def of(cls, ctx: PredictorContext, encodings: Sequence[EncodedPipeline]) -> "_Encodings":
+        feats = np.stack([e.features for e in encodings])
+        meta = np.broadcast_to(scale_meta(ctx.meta), (len(feats), 4))
+        return cls(feats[:, : ctx.hp_width], feats[:, ctx.hp_width :], meta)
 
 
 class _RunState:
-    """Incrementally maintained network inputs for one run.
+    """The one record of a run's observations, for ``tune`` and the baselines.
 
-    Training rows are immutable once appended (an observation's curve input
-    is its pipeline's prefix at append time), and each pipeline's candidate
-    row changes only when that pipeline is evaluated, so everything the hot
-    loop feeds the predictors is cached and updated in O(changed rows).
+    Row i (the i-th evaluation) is ``rows[:, i]`` = (pipeline, epoch, loss,
+    cumulative cost), stored column-wise so a field of a run of rows is one
+    contiguous slice.  Per pipeline, ``cand_tau`` is the next epoch to
+    query, ``cand_last_cum`` the cumulative cost so far and ``cand_curves``
+    the observed losses by epoch.  Predictor inputs are gathered on demand:
+    a row's curve input is its pipeline's losses at earlier epochs.
     """
 
-    def __init__(self, view: DatasetView, ctx: PredictorContext, encodings: dict) -> None:
-        self.ctx = ctx
-        n_pipe = view.n_pipelines
-        n_ep = ctx.n_epochs
-        self.pipe_hp = np.stack([encodings[p].features[: ctx.hp_width] for p in range(n_pipe)])
-        self.pipe_onehot = np.stack([encodings[p].features[ctx.hp_width :] for p in range(n_pipe)])
-        self.meta_row = scale_meta(ctx.meta)
-        self.cand_curves = np.zeros((n_pipe, n_ep))
-        self.cand_tau = np.full(n_pipe, ctx.dt, dtype=np.int64)
-        self.cand_last_cum = np.zeros(n_pipe)
-        self.epoch_min = np.full(n_ep + 1, np.inf)
-        cap = 64
-        self.rows_hp = np.empty((cap, ctx.hp_width))
-        self.rows_onehot = np.empty((cap, self.pipe_onehot.shape[1]))
-        self.rows_curves = np.empty((cap, n_ep))
-        self.rows_tfrac = np.empty(cap)
-        self.rows_y = np.empty(cap)
-        self.rows_cost = np.empty(cap)
+    def __init__(
+        self, n_pipelines: int, n_epochs: int, dt: int, recorder: TraceRecorder | None = None
+    ) -> None:
+        self.n_epochs = n_epochs
+        self.dt = dt
+        self.recorder = recorder
+        self.rows = np.empty((4, 64))
         self.n_rows = 0
+        self.cand_curves = np.zeros((n_pipelines, n_epochs))
+        self.cand_tau = np.full(n_pipelines, dt, dtype=np.int64)
+        self.cand_last_cum = np.zeros(n_pipelines)
+        self.epoch_min = np.full(n_epochs + 1, np.inf)
 
-    def _grow(self) -> None:
-        cap = self.rows_hp.shape[0] * 2
-        for name in ("rows_hp", "rows_onehot", "rows_curves", "rows_tfrac", "rows_y", "rows_cost"):
-            old = getattr(self, name)
-            new = np.empty((cap, *old.shape[1:]))
-            new[: self.n_rows] = old[: self.n_rows]
-            setattr(self, name, new)
+    def evaluate(self, view: DatasetView, pid: int) -> None:
+        """Query the pipeline's next epoch, record it, and write the step,
+        priced as the cumulative cost less the last observed one, to the trace."""
+        epoch = int(self.cand_tau[pid])
+        loss, cum_cost = view.query(pid, epoch)
+        step_cost = float(cum_cost - self.cand_last_cum[pid])
+        self.record(pid, epoch, loss, cum_cost)
+        self.recorder.record(pid, epoch, loss, step_cost)
 
     def record(self, pid: int, epoch: int, loss: float, cum_cost: float) -> None:
-        if self.n_rows == self.rows_hp.shape[0]:
-            self._grow()
-        i = self.n_rows
-        self.rows_hp[i] = self.pipe_hp[pid]
-        self.rows_onehot[i] = self.pipe_onehot[pid]
-        self.rows_curves[i] = self.cand_curves[pid]
-        self.rows_tfrac[i] = epoch / self.ctx.n_epochs
-        self.rows_y[i] = loss
-        self.rows_cost[i] = cum_cost
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError(f"val_loss {loss} outside [0, 1]")
+        if not cum_cost >= 0.0:
+            raise ValueError("cum_cost must be >= 0")
+        if epoch != self.cand_tau[pid]:
+            raise HistoryOrderError(f"pipeline {pid}: epoch {epoch}, expected {self.cand_tau[pid]}")
+        if cum_cost < self.cand_last_cum[pid]:
+            raise HistoryOrderError(f"pipeline {pid}: cum_cost decreased at epoch {epoch}")
+        if self.n_rows == self.rows.shape[1]:
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)], axis=1)
+        self.rows[:, self.n_rows] = pid, epoch, loss, cum_cost
         self.n_rows += 1
         self.cand_curves[pid, epoch - 1] = loss
-        self.cand_tau[pid] = epoch + self.ctx.dt
+        self.cand_tau[pid] = epoch + self.dt
         self.cand_last_cum[pid] = cum_cost
-        if loss < self.epoch_min[epoch]:
-            self.epoch_min[epoch] = loss
+        self.epoch_min[epoch] = min(self.epoch_min[epoch], loss)
 
-    def train_inputs(self, window: int | None):
+    def best(self) -> tuple[int, int, float]:
+        """(pipeline, epoch, loss) of the first row with the minimal loss."""
+        pid, epoch, loss = self.rows[:3, int(np.argmin(self.rows[2, : self.n_rows]))]
+        return int(pid), int(epoch), float(loss)
+
+    def train_inputs(self, enc: _Encodings, window: int | None):
+        """The last ``window`` rows (all by default) as predictor inputs,
+        with their loss and cumulative-cost targets."""
         lo = 0 if window is None else max(0, self.n_rows - window)
-        hi = self.n_rows
-        meta = np.broadcast_to(self.meta_row, (hi - lo, 4))
+        pid, epoch, y, cost = self.rows[:, lo : self.n_rows]
+        pid = pid.astype(np.int64)
+        earlier = np.arange(1, self.n_epochs + 1) < epoch[:, None]
         inputs = PredictorInputs(
-            hp=self.rows_hp[lo:hi],
-            model_onehot=self.rows_onehot[lo:hi],
-            curves=self.rows_curves[lo:hi],
-            tfrac=self.rows_tfrac[lo:hi],
-            meta=meta,
+            hp=enc.hp[pid],
+            model_onehot=enc.onehot[pid],
+            curves=np.where(earlier, self.cand_curves[pid], 0.0),
+            tfrac=epoch / self.n_epochs,
+            meta=enc.meta[pid],
         )
-        return inputs, self.rows_y[lo:hi], self.rows_cost[lo:hi]
-
-    def train_row(self, i: int) -> PredictorInputs:
-        return PredictorInputs(
-            hp=self.rows_hp[i : i + 1],
-            model_onehot=self.rows_onehot[i : i + 1],
-            curves=self.rows_curves[i : i + 1],
-            tfrac=self.rows_tfrac[i : i + 1],
-            meta=self.meta_row[None, :],
-        )
+        return inputs, y, cost
 
     def candidate_pool(self) -> list[int]:
-        return [int(p) for p in np.nonzero(self.cand_tau <= self.ctx.n_epochs)[0]]
+        return [int(p) for p in np.nonzero(self.cand_tau <= self.n_epochs)[0]]
 
-    def candidate_arrays(self, pool) -> PredictorInputs:
+    def candidate_arrays(self, enc: _Encodings, pool) -> PredictorInputs:
         idx = np.asarray(pool, dtype=np.int64)
-        meta = np.broadcast_to(self.meta_row, (len(pool), 4))
         return PredictorInputs(
-            hp=self.pipe_hp[idx],
-            model_onehot=self.pipe_onehot[idx],
+            hp=enc.hp[idx],
+            model_onehot=enc.onehot[idx],
             curves=self.cand_curves[idx],
-            tfrac=self.cand_tau[idx] / self.ctx.n_epochs,
-            meta=meta,
+            tfrac=self.cand_tau[idx] / self.n_epochs,
+            meta=enc.meta[idx],
             observed_cost=self.cand_last_cum[idx],
-        )
-
-    def candidate_row(self, pid: int) -> PredictorInputs:
-        return PredictorInputs(
-            hp=self.pipe_hp[pid : pid + 1],
-            model_onehot=self.pipe_onehot[pid : pid + 1],
-            curves=self.cand_curves[pid : pid + 1],
-            tfrac=np.array([self.cand_tau[pid] / self.ctx.n_epochs]),
-            meta=self.meta_row[None, :],
-            observed_cost=self.cand_last_cum[pid : pid + 1],
         )
 
     def incumbent_table(self) -> np.ndarray:
         """incumbent at each epoch: exact-epoch minimum, else the minimum
         over earlier epochs, else the global minimum."""
-        n_ep = self.ctx.n_epochs
-        min_at = self.epoch_min[1 : n_ep + 1]
-        below = np.empty(n_ep)
-        running = np.inf
-        for e in range(n_ep):
-            below[e] = running
-            if min_at[e] < running:
-                running = min_at[e]
+        min_at = self.epoch_min[1:]
+        below = np.concatenate(([np.inf], np.minimum.accumulate(min_at)[:-1]))
         table = np.where(np.isfinite(min_at), min_at, below)
-        return np.where(np.isfinite(table), table, running)
+        return np.where(np.isfinite(table), table, min_at.min())
 
 
 class _NeedsRebuild(Exception):
@@ -363,15 +346,18 @@ class _ScoreCache:
     copying an n x n block.
     """
 
-    def __init__(self, gp: DeepKernelGP, cp: CostPredictor | None, state: _RunState) -> None:
+    def __init__(
+        self, gp: DeepKernelGP, cp: CostPredictor | None, state: _RunState, enc: _Encodings
+    ) -> None:
         self.gp = gp
         self.cp = cp
-        n_pipe = state.pipe_hp.shape[0]
-        inputs, y, _ = state.train_inputs(None)
+        self.enc = enc
+        n_pipe = enc.hp.shape[0]
+        inputs, y, _ = state.train_inputs(enc, None)
         n = len(y)
         self.Ztr = np.empty((max(64, 2 * n), LATENT), order="C")
         self.Ztr[:n] = gp.features_batch(inputs)
-        cand_inputs = state.candidate_arrays(np.arange(n_pipe))
+        cand_inputs = state.candidate_arrays(enc, np.arange(n_pipe))
         self.Zc = gp.features_batch(cand_inputs)
         noise = gp.kernel.noise_var
         A = kernel_matrix(self.Ztr[:n], self.Ztr[:n], gp.kernel) + noise * np.eye(n)
@@ -405,14 +391,16 @@ class _ScoreCache:
         v[:n] = self.V[:n]
         self.V = v
 
-    def apply_evaluation(self, state: _RunState, row_index: int, pid: int) -> None:
-        """Fold in the last evaluation: one new training row plus the
-        evaluated pipeline's refreshed candidate column."""
+    def apply_evaluation(self, state: _RunState) -> None:
+        """Fold in the run-state's last row: one new training row plus its
+        pipeline's refreshed candidate column."""
         gp = self.gp
+        pid = int(state.rows[0, state.n_rows - 1])
         if self.n == self.Ztr.shape[0]:
             self._grow()
         n = self.n
-        z_new = gp.features_batch(state.train_row(row_index))[0]
+        row, y, _ = state.train_inputs(self.enc, 1)
+        z_new = gp.features_batch(row)[0]
         b = kernel_matrix(self.Ztr[:n], z_new[None, :], gp.kernel)[:, 0]
         wvec = solve_lower(self.L[:n], b)
         d2 = self.diag - float(wvec @ wvec)
@@ -422,7 +410,7 @@ class _ScoreCache:
         self.L[n, :n] = wvec
         self.L[n, n] = d
         self.Ztr[n] = z_new
-        y_norm = (state.rows_y[row_index] - gp.y_mean) / gp.y_std
+        y_norm = (y[0] - gp.y_mean) / gp.y_std
         self.w[n] = (y_norm - float(wvec @ self.w[:n])) / d
         ks_row = kernel_matrix(z_new[None, :], self.Zc, gp.kernel)[0]
         v_row = (ks_row - wvec @ self.V[:n]) / d
@@ -430,14 +418,15 @@ class _ScoreCache:
         self.colnorm2 += v_row**2
         self.n = n + 1
         # refreshed candidate column for the evaluated pipeline
-        zc = gp.features_batch(state.candidate_row(pid))[0]
+        cand = state.candidate_arrays(self.enc, [pid])
+        zc = gp.features_batch(cand)[0]
         self.Zc[pid] = zc
         ks_col = kernel_matrix(self.Ztr[: self.n], zc[None, :], gp.kernel)[:, 0]
         col = solve_lower(self.L[: self.n], ks_col)
         self.V[: self.n, pid] = col
         self.colnorm2[pid] = float(col @ col)
         if self.cp is not None:
-            self.cost_pred[pid] = self.cp.predict_batch(state.candidate_row(pid))[0]
+            self.cost_pred[pid] = self.cp.predict_batch(cand)[0]
 
     def moments(self, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gp = self.gp
@@ -468,7 +457,7 @@ def tune(
     n_epochs = view.n_epochs
     dt = n_epochs if cfg.full_fidelity else cfg.dt
     ctx = PredictorContext.from_space(space, view.meta, n_epochs, dt)
-    encodings = {pid: encode(view.pipeline(pid), space) for pid in range(view.n_pipelines)}
+    enc = _Encodings.of(ctx, [encode(view.pipeline(p), space) for p in range(view.n_pipelines)])
 
     gp = DeepKernelGP(ctx, substream(cfg.seed, "tune", view.dataset_id, "surrogate-init"))
     cp = CostPredictor(ctx, substream(cfg.seed, "tune", view.dataset_id, "cost-init"))
@@ -480,45 +469,40 @@ def tune(
     flags = cfg.flags()
     flags["seed"] = cfg.seed
     recorder = TraceRecorder(method, view.dataset_id, cfg.seed, flags, cfg.budget_seconds)
-    h = History()
-    state = _RunState(view, ctx, encodings)
+    state = _RunState(view.n_pipelines, n_epochs, dt, recorder)
 
     init_rng = substream(cfg.seed, "tune", view.dataset_id, "init-sample")
     acq_rng = substream(cfg.seed, "tune", view.dataset_id, "acquisition")
 
     def run_step(pid: int) -> bool:
-        epoch = query_epoch(h, pid, dt)
         try:
-            loss, cum_cost = evaluate_step(view, h, recorder, pid, epoch, dt)
+            state.evaluate(view, pid)
         except BenchmarkQueryError as exc:
             log.warning("benchmark query failed, returning partial trace: %s", exc)
             return False
-        state.record(pid, epoch, loss, cum_cost)
         return True
 
     first_pid = int(init_rng.integers(view.n_pipelines))
     aborted = not run_step(first_pid)
 
     cache: _ScoreCache | None = None
-    pending: tuple[int, int] | None = None
     exhausted = False
     while not aborted and recorder.within_budget():
-        if cfg.max_steps is not None and recorder.n_steps >= cfg.max_steps:
+        if cfg.max_steps is not None and state.n_rows >= cfg.max_steps:
             break
         started = time.perf_counter() if cfg.count_overhead else 0.0
-        refit = recorder.n_steps <= 30 or recorder.n_steps % cfg.refit_period == 0
+        refit = state.n_rows <= 30 or state.n_rows % cfg.refit_period == 0
         if refit or cache is None:
-            inputs, y, costs = state.train_inputs(cfg.fit_window)
+            inputs, y, costs = state.train_inputs(enc, cfg.fit_window)
             gp.fit(inputs, y, steps=cfg.fit_steps, lr=cfg.lr)
             if cfg.use_cost:
                 cp.fit(inputs, costs, steps=cfg.fit_steps, lr=cfg.lr)
-            cache = _ScoreCache(gp, cp if cfg.use_cost else None, state)
-        elif pending is not None:
+            cache = _ScoreCache(gp, cp if cfg.use_cost else None, state, enc)
+        else:  # fold in the step evaluated last iteration
             try:
-                cache.apply_evaluation(state, *pending)
+                cache.apply_evaluation(state)
             except _NeedsRebuild:
-                cache = _ScoreCache(gp, cp if cfg.use_cost else None, state)
-        pending = None
+                cache = _ScoreCache(gp, cp if cfg.use_cost else None, state, enc)
         pool = state.candidate_pool()
         if not pool:
             exhausted = True
@@ -533,16 +517,15 @@ def tune(
         )
         pid = argmax_lowest_id(pool, scores)
         if cfg.count_overhead:
-            recorder.add_overhead(time.perf_counter() - started, count_in_budget=True)
+            recorder.add_overhead(time.perf_counter() - started)
             if not recorder.within_budget():
                 break
         aborted = not run_step(pid)
-        pending = (state.n_rows - 1, pid)
 
     trace = recorder.finish(exhausted=exhausted)
-    if not aborted and trace.steps and trace.best() != best_in_history(h):
+    if not aborted and trace.steps and trace.best() != state.best():
         raise RuntimeError(
-            f"trace best {trace.best()!r} disagrees with the history's {best_in_history(h)!r}"
+            f"trace best {trace.best()!r} disagrees with the run-state's {state.best()!r}"
         )
     return trace
 

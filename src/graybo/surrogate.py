@@ -15,13 +15,13 @@ import glob
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy
 from scipy.linalg.lapack import dtrtrs
 
-from .core import EncodedPipeline, History, MetaFeatures, SearchSpace
+from .core import EncodedPipeline, MetaFeatures, SearchSpace
 from .neural import CurveEncoder, Dense, FitReport, MLP, ParamBlock, fit_best
 
 
@@ -81,16 +81,6 @@ def scale_meta(meta: MetaFeatures) -> np.ndarray:
     )
 
 
-def build_curve(n_epochs: int, observed: Sequence[tuple[int, float]]) -> np.ndarray:
-    """Zero-padded loss curve of length ``n_epochs`` from (epoch, loss) pairs."""
-    curve = np.zeros(n_epochs)
-    for epoch, loss in observed:
-        if not 1 <= epoch <= n_epochs:
-            raise ValueError(f"curve epoch {epoch} outside [1, {n_epochs}]")
-        curve[epoch - 1] = loss
-    return curve
-
-
 @dataclass(frozen=True)
 class PredictorContext:
     """Static per-run quantities shared by both predictors."""
@@ -142,33 +132,6 @@ def assemble_inputs(
     tfrac = np.asarray(epochs, dtype=np.float64) / ctx.n_epochs
     meta = np.tile(scale_meta(ctx.meta), (n, 1))
     return PredictorInputs(hp=hp, model_onehot=onehot, curves=cm, tfrac=tfrac, meta=meta)
-
-
-def history_inputs(
-    h: History,
-    encodings: Mapping[int, EncodedPipeline],
-    ctx: PredictorContext,
-    window: int | None = None,
-) -> tuple[PredictorInputs, np.ndarray, np.ndarray]:
-    """Training rows for the predictors: one per observation, with the
-    pipeline's earlier observed losses as the curve input and the
-    observation's loss / cumulative cost as targets.
-
-    ``window`` keeps only the most recent observations.
-    """
-    obs = list(h.observations)
-    if window is not None and len(obs) > window:
-        obs = obs[-window:]
-    encs, curves, epochs = [], [], []
-    for o in obs:
-        encs.append(encodings[o.pipeline_id])
-        pairs = [(p.epoch, p.val_loss) for p in h.of_pipeline(o.pipeline_id) if p.epoch < o.epoch]
-        curves.append(build_curve(ctx.n_epochs, pairs))
-        epochs.append(o.epoch)
-    inputs = assemble_inputs(ctx, encs, curves, epochs)
-    y = np.array([o.val_loss for o in obs])
-    costs = np.array([o.cum_cost for o in obs])
-    return inputs, y, costs
 
 
 class FeatureExtractor:
@@ -338,20 +301,6 @@ class DeepKernelGP:
     def features_batch(self, inputs: PredictorInputs) -> np.ndarray:
         z, _ = self.fx.forward(inputs)
         return z
-
-    def features(
-        self,
-        enc: EncodedPipeline,
-        observed: Sequence[tuple[int, float]],
-        t: int,
-        ctx: PredictorContext | None = None,
-    ) -> np.ndarray:
-        """Latent vector for one pipeline query at epoch ``t``."""
-        ctx = ctx or self.ctx
-        if not 1 <= t <= ctx.n_epochs:
-            raise ValueError(f"epoch {t} outside [1, {ctx.n_epochs}]")
-        inputs = assemble_inputs(ctx, [enc], [build_curve(ctx.n_epochs, observed)], [t])
-        return self.features_batch(inputs)[0]
 
     # -- GP math ------------------------------------------------------------
 

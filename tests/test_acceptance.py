@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from oracle import expected_improvement, fd_noise_floor, grad_check, history_inputs
+
 from graybo import benchtab
 from graybo.core import (
     History,
@@ -35,16 +37,9 @@ from graybo.evalkit import (
     trace_auc,
 )
 from graybo.metalearn import MetaCheckpoint, meta_train, split_folds, zero_shot_rank_eval
-from graybo.neural import fd_noise_floor, grad_check
 from graybo.optimizer import RunTrace, TuneConfig, tune
 from graybo.rng import substream
-from graybo.surrogate import (
-    DeepKernelGP,
-    PredictorContext,
-    history_inputs,
-    kernel_matrix,
-)
-from graybo.acquisition import expected_improvement
+from graybo.surrogate import DeepKernelGP, PredictorContext, kernel_matrix
 
 GEN_SEED = 11
 META_SEEDS = (0, 1, 2, 3, 4)

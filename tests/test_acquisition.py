@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import reference_scores, replay
+from oracle import expected_improvement, reference_scores, replay
 
 from graybo.acquisition import (
     argmax_lowest_id,
     ei_scores,
-    expected_improvement,
     expected_improvement_batch,
     norm_cdf,
     subsample_pool,
@@ -165,8 +164,8 @@ def test_eipu_is_ei_over_step_cost():
 
 def test_cost_aware_off_equals_plain_ei_selection(small_space, ctx):
     encodings, h, gp, cp = _setup(small_space, ctx, seed=1)
-    state = replay(ctx, encodings, h)
-    cache = _ScoreCache(gp, None, state)
+    state, enc = replay(ctx, encodings, h)
+    cache = _ScoreCache(gp, None, state, enc)
     pool = state.candidate_pool()
     scores = _cache_scores(state, cache, pool, cost_aware=False)
     _, _, plain_ei = reference_scores(pool, h, gp, None, encodings, ctx, cost_aware=False)
@@ -189,8 +188,8 @@ def test_cheap_candidate_wins_under_cost_awareness():
 
 def test_select_next_single_candidate(small_space, ctx):
     encodings, h, gp, cp = _setup(small_space, ctx, seed=2)
-    state = replay(ctx, encodings, h)
-    cache = _ScoreCache(gp, cp, state)
+    state, enc = replay(ctx, encodings, h)
+    cache = _ScoreCache(gp, cp, state, enc)
     pool = subsample_pool([2], 1, substream(1, "r"))
     assert argmax_lowest_id(pool, _cache_scores(state, cache, pool, cost_aware=True)) == 2
 
@@ -198,8 +197,8 @@ def test_select_next_single_candidate(small_space, ctx):
 def test_select_next_matches_exhaustive_scores(small_space, ctx):
     # the cache's pick is the argmax of the History-based reference scores
     encodings, h, gp, cp = _setup(small_space, ctx, seed=3)
-    state = replay(ctx, encodings, h)
-    cache = _ScoreCache(gp, cp, state)
+    state, enc = replay(ctx, encodings, h)
+    cache = _ScoreCache(gp, cp, state, enc)
     pool = state.candidate_pool()
     _, _, reference = reference_scores(pool, h, gp, cp, encodings, ctx, cost_aware=True)
     pick = argmax_lowest_id(pool, _cache_scores(state, cache, pool, cost_aware=True))
@@ -231,7 +230,7 @@ def test_select_next_excludes_exhausted(small_space, meta_features):
     # not before; when every pipeline has, the pool is empty
     for dt in (1, 2):
         ctx = PredictorContext.from_space(small_space, meta_features, N_EPOCHS, dt)
-        state = replay(ctx, _encodings(small_space, 3, "ex"), History())
+        state, _ = replay(ctx, _encodings(small_space, 3, "ex"), History())
         last = range(dt, N_EPOCHS + 1, dt)[-1]
         for ep in range(dt, last + 1, dt):
             assert state.candidate_pool() == [0, 1, 2]
@@ -251,7 +250,8 @@ def test_select_next_all_exhausted_raises(small_space, ctx):
         start = h.max_epoch(pid) + 1
         for ep in range(start, N_EPOCHS + 1):
             h.append(Observation(pid, ep, 0.5, 100.0 + ep))
-    assert replay(ctx, encodings, h).candidate_pool() == []
+    state, _ = replay(ctx, encodings, h)
+    assert state.candidate_pool() == []
 
 
 def test_ei_per_unit_cost_rejects_exhausted(small_space, ctx):
@@ -259,10 +259,10 @@ def test_ei_per_unit_cost_rejects_exhausted(small_space, ctx):
     encodings, h, gp, cp = _setup(small_space, ctx, seed=7)
     for ep in range(3, N_EPOCHS + 1):
         h.append(Observation(0, ep, 0.5, 100.0 + ep))
-    state = replay(ctx, encodings, h)
+    state, enc = replay(ctx, encodings, h)
     pool = state.candidate_pool()
     assert pool == [1, 2, 3]
-    scores = _cache_scores(state, _ScoreCache(gp, cp, state), pool, cost_aware=True)
+    scores = _cache_scores(state, _ScoreCache(gp, cp, state, enc), pool, cost_aware=True)
     assert np.all(np.isfinite(scores)) and np.all(scores >= 0.0)
 
 
@@ -295,7 +295,8 @@ def test_incumbent_table_matches_pointwise(small_space, meta_features):
             cost += 1.0
             h.append(Observation(pid, ep, float(rng.uniform(0.1, 0.9)), cost))
     assert max(o.epoch for o in h) < N_EPOCHS
-    table = replay(ctx, encodings, h).incumbent_table()
+    state, _ = replay(ctx, encodings, h)
+    table = state.incumbent_table()
     assert len(table) == N_EPOCHS
     for epoch in range(1, N_EPOCHS + 1):
         assert table[epoch - 1] == incumbent_loss(h, epoch)

@@ -313,6 +313,15 @@ def test_tune_rejects_negative_fit_steps_and_empty_fit_window(bench_dir, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag", [["--lr", "nan"], ["--max-steps", "0"]], ids=["lr-nan", "max-steps-0"]
+)
+def test_tune_rejects_nan_lr_and_zero_max_steps(bench_dir, tmp_path, flag):
+    out = tmp_path / "bad.json"
+    assert main(_tune_args(bench_dir, out, extra=flag)) == 2
+    assert not out.exists()
+
+
 def test_tune_grid_writes_one_file_per_run(bench_dir, tmp_path):
     out = tmp_path / "runs"
     args = _tune_args(bench_dir, out, dataset="d00,d01", seed="0,1")
@@ -358,6 +367,13 @@ def test_baseline_unknown_method(bench_dir, tmp_path, capsys):
     code = main(_baseline_args(bench_dir, tmp_path / "x.json", method="annealing"))
     assert code == 2
     assert "--method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["random", "gp-full"])
+def test_baseline_rejects_zero_max_steps(bench_dir, tmp_path, method):
+    out = tmp_path / "bad.json"
+    assert main(_baseline_args(bench_dir, out, method=method, extra=["--max-steps", "0"])) == 2
+    assert not out.exists()
 
 
 def test_baseline_random_deterministic(bench_dir, tmp_path):

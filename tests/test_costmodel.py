@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracle import replay
+from oracle import fd_noise_floor, grad_check, history_inputs, replay
 
 from graybo.acquisition import ei_scores
 from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.costmodel import STEP_COST_FLOOR, CostPredictor
-from graybo.neural import fd_noise_floor, grad_check
 from graybo.rng import substream
-from graybo.surrogate import PredictorContext, history_inputs
+from graybo.surrogate import PredictorContext
 
 N_EPOCHS = 10
 
@@ -128,10 +127,11 @@ def test_gradients_match_finite_differences(ctx, small_space):
 # the next step's cost, as tune's acquisition divides by it
 
 
-def _step_cost(cp, state, pid):
+def _step_cost(cp, replayed, pid):
     """max(c_hat - c, STEP_COST_FLOOR) for the pipeline's next epoch, read
     back from ``ei_scores`` at an EI of exactly one."""
-    predicted = cp.predict_batch(state.candidate_row(pid))
+    state, enc = replayed
+    predicted = cp.predict_batch(state.candidate_arrays(enc, [pid]))
     zero, one = np.zeros(1), np.ones(1)
     observed = state.cand_last_cum[pid : pid + 1]
     return 1.0 / float(ei_scores(zero, zero, one, predicted, observed, True)[0])
@@ -172,7 +172,7 @@ def test_next_step_cost_rejects_exhausted_pipeline(ctx, small_space):
     h = History()
     for ep in range(1, N_EPOCHS + 1):
         h.append(Observation(0, ep, 0.5, float(ep)))
-    state = replay(ctx, _encodings(small_space, substream(12, "nc"), 2), h)
+    state, _ = replay(ctx, _encodings(small_space, substream(12, "nc"), 2), h)
     assert state.candidate_pool() == [1]
 
 
@@ -209,15 +209,16 @@ def test_observed_step_priced_at_observed_rate(small_space, meta_features, dt):
     h = History()
     for ep in range(dt, 3 * dt + 1, dt):
         h.append(Observation(0, ep, 0.5, 2.0 * ep))
-    state = replay(ctx, encs, h)
+    replayed = replay(ctx, encs, h)
     cp = _LowCumulative(ctx, substream(16, "cp"))
-    denom = _step_cost(cp, state, 0)
+    denom = _step_cost(cp, replayed, 0)
     assert denom != STEP_COST_FLOOR
     assert denom == pytest.approx(2.0 * dt, rel=1e-12)
-    inputs = state.candidate_arrays([0, 1])
+    state, enc = replayed
+    inputs = state.candidate_arrays(enc, [0, 1])
     assert np.allclose(cp.predict_batch(inputs), [2.0 * (3 * dt + dt), 1.0], rtol=1e-12)
     # an unobserved pipeline keeps the net's prediction
-    assert _step_cost(cp, state, 1) == pytest.approx(1.0)
+    assert _step_cost(cp, replayed, 1) == pytest.approx(1.0)
 
 
 def test_training_rows_keep_net_prediction(ctx, small_space):
@@ -226,7 +227,8 @@ def test_training_rows_keep_net_prediction(ctx, small_space):
     h = History()
     for ep in range(1, 4):
         h.append(Observation(0, ep, 0.5, 2.0 * ep))
-    inputs, _, _ = history_inputs(h, encs, ctx)
+    state, enc = replay(ctx, encs, h)
+    inputs, _, _ = state.train_inputs(enc, None)
     assert inputs.observed_cost is None
     cp = _LowCumulative(ctx, substream(18, "cp"))
     assert np.allclose(cp.predict_batch(inputs), 1.0)
@@ -244,14 +246,14 @@ def test_all_observed_rows_skip_the_network(ctx, small_space, monkeypatch):
     calls = []
     real = cp.raw_batch
     monkeypatch.setattr(cp, "raw_batch", lambda inputs: calls.append(len(inputs)) or real(inputs))
-    state = replay(ctx, encs, h)
-    observed = state.candidate_arrays([0, 1, 2])
+    state, enc = replay(ctx, encs, h)
+    observed = state.candidate_arrays(enc, [0, 1, 2])
     priced = cp.predict_batch(observed)
     assert calls == []
     c = observed.observed_cost
     assert np.array_equal(priced, c + c / np.array([1.0, 2.0, 3.0]))
     # one unobserved row brings the net back, for every row of the batch
-    mixed = state.candidate_arrays([0, 1, 2, 3])
+    mixed = state.candidate_arrays(enc, [0, 1, 2, 3])
     mixed_priced = cp.predict_batch(mixed)
     assert calls == [4]
     assert np.array_equal(mixed_priced[:3], priced)

@@ -99,6 +99,14 @@ def test_random_search_tiny_budget_one_eval(bench, small_space):
     assert len(trace.steps) == 1
 
 
+def test_random_search_rejects_zero_max_steps(bench, small_space):
+    # an empty trace could not be scored by the reports
+    view = bench.view(bench.dataset_ids[0])
+    with pytest.raises(ValueError, match="max_steps"):
+        random_search(view, small_space, 1e9, seed=0, max_steps=0)
+    assert len(random_search(view, small_space, 1e9, seed=0, max_steps=1).steps) == 1
+
+
 def test_random_search_deterministic(bench, small_space):
     a = random_search(bench.view(bench.dataset_ids[0]), small_space, 150.0, seed=5)
     b = random_search(bench.view(bench.dataset_ids[0]), small_space, 150.0, seed=5)

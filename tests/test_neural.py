@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from oracle import fd_noise_floor, grad_check, history_inputs
+
 from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.costmodel import CostPredictor
 from graybo.neural import (
@@ -16,15 +18,13 @@ from graybo.neural import (
     NonFiniteGradientError,
     ParamBlock,
     blocks_to_payload,
-    fd_noise_floor,
     fit_best,
-    grad_check,
     load_into_blocks,
     payload_to_arrays,
     softplus,
 )
 from graybo.rng import substream
-from graybo.surrogate import DeepKernelGP, PredictorContext, history_inputs
+from graybo.surrogate import DeepKernelGP, PredictorContext
 
 
 def _mlp(seed=0, widths=(6, 32, 32, 1)):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from graybo.benchtab import GeneratorConfig, TabularBenchmark, generate
-from graybo.core import History, best_in_history
-from graybo.optimizer import RunTrace, TraceStep, TuneConfig, incumbent_curve, tune
+from graybo.benchtab import DatasetView, GeneratorConfig, TabularBenchmark, generate
+from graybo.core import History, HistoryOrderError, best_in_history
+from graybo.evalkit import gp_full, random_search, successive_halving
+from graybo.optimizer import RunTrace, TraceStep, TuneConfig, _RunState, incumbent_curve, tune
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +121,77 @@ def test_best_mismatch_with_history_raises(bench, small_space, monkeypatch):
     # the end-of-run consistency check must survive ``python -O``
     import graybo.optimizer as optimizer
 
-    monkeypatch.setattr(optimizer, "best_in_history", lambda h: (-1, -1, -1.0))
+    monkeypatch.setattr(optimizer._RunState, "best", lambda self: (-1, -1, -1.0))
     with pytest.raises(RuntimeError, match="disagrees"):
         _run(bench, small_space, budget_seconds=50.0)
+
+
+# ---------------------------------------------------------------------------
+# the run-state's checks on each recorded observation
+
+
+def _doctored(view, from_epoch, bad):
+    """``view`` whose queries at ``from_epoch`` and later return
+    ``bad(loss, cost)`` instead of the table's values."""
+
+    class Doctored(DatasetView):
+        def query(self, pipeline_id, epoch):
+            loss, cost = DatasetView.query(self, pipeline_id, epoch)
+            return bad(loss, cost) if epoch >= from_epoch else (loss, cost)
+
+    return Doctored(view.table)
+
+
+_BAD_QUERIES = {
+    "loss-above-one": (1, lambda loss, cost: (1.5, cost), ValueError, "outside"),
+    "negative-cost": (1, lambda loss, cost: (loss, -1.0), ValueError, "cum_cost"),
+    # a second epoch costing less, cumulatively, than the first
+    "cost-decreased": (2, lambda loss, cost: (loss, 0.0), HistoryOrderError, "decreased"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_QUERIES))
+def test_run_state_rejects_a_bad_observation_in_tune(tiny_bench, small_space, case):
+    from_epoch, bad, exc, match = _BAD_QUERIES[case]
+    view = _doctored(tiny_bench.view(tiny_bench.dataset_ids[0]), from_epoch, bad)
+    with pytest.raises(exc, match=match):
+        tune(view, small_space, _cfg(budget_seconds=1e9, fit_steps=1))
+
+
+@pytest.mark.parametrize("case", list(_BAD_QUERIES))
+def test_run_state_rejects_a_bad_observation_in_random_search(tiny_bench, small_space, case):
+    from_epoch, bad, exc, match = _BAD_QUERIES[case]
+    view = _doctored(tiny_bench.view(tiny_bench.dataset_ids[0]), from_epoch, bad)
+    with pytest.raises(exc, match=match):
+        random_search(view, small_space, 1e9, seed=0)
+
+
+def test_run_state_record_rejects_an_epoch_off_the_progression():
+    state = _RunState(2, 10, 2)
+    with pytest.raises(HistoryOrderError, match="expected 2"):
+        state.record(0, 1, 0.5, 1.0)
+    state.record(0, 2, 0.5, 1.0)
+    for epoch in (2, 6):
+        with pytest.raises(HistoryOrderError, match="expected 4"):
+            state.record(0, epoch, 0.4, 2.0)
+    state.record(1, 2, 0.3, 0.5)
+    # rejected observations leave no trace in the state
+    assert state.n_rows == 2
+    assert list(state.cand_tau) == [4, 4]
+    assert state.best() == (1, 2, 0.3)
+
+
+def test_no_optimizer_builds_a_history(tiny_bench, small_space, monkeypatch):
+    # the run-state is the only record of a run's observations
+    def refuse(self):
+        raise AssertionError("History constructed")
+
+    monkeypatch.setattr(History, "__init__", refuse)
+    view = tiny_bench.view(tiny_bench.dataset_ids[0])
+    assert tune(view, small_space, _cfg(budget_seconds=60.0, fit_steps=1)).steps
+    assert gp_full(view, small_space, 60.0, seed=0, fit_steps=1).steps
+    assert random_search(view, small_space, 60.0, seed=0).steps
+    assert successive_halving(view, small_space, 60.0, seed=0).steps
 
 
 def test_full_fidelity_evaluates_whole_curves(bench, small_space):
@@ -203,7 +272,13 @@ def test_config_validation():
         TuneConfig(budget_seconds=1.0, fit_steps=-1)
     with pytest.raises(ValueError):
         TuneConfig(budget_seconds=1.0, fit_window=0)
-    TuneConfig(budget_seconds=1.0, fit_steps=0, fit_window=1)
+    for lr in (math.nan, math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="lr"):
+            TuneConfig(budget_seconds=1.0, lr=lr)
+    for max_steps in (0, -1):
+        with pytest.raises(ValueError, match="max_steps"):
+            TuneConfig(budget_seconds=1.0, max_steps=max_steps)
+    TuneConfig(budget_seconds=1.0, fit_steps=0, fit_window=1, lr=1e-9, max_steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +334,15 @@ def _cache_fixture(bench, space):
 
     from graybo.core import Observation, encode
     from graybo.costmodel import CostPredictor
-    from graybo.optimizer import _RunState, _ScoreCache
+    from graybo.optimizer import _Encodings, _RunState, _ScoreCache
     from graybo.rng import substream
     from graybo.surrogate import DeepKernelGP, PredictorContext
 
     view = bench.view(bench.dataset_ids[0])
     ctx = PredictorContext.from_space(space, view.meta, view.n_epochs, 1)
     encodings = {pid: encode(view.pipeline(pid), space) for pid in range(view.n_pipelines)}
-    state = _RunState(view, ctx, encodings)
+    enc = _Encodings.of(ctx, [encodings[p] for p in range(view.n_pipelines)])
+    state = _RunState(view.n_pipelines, view.n_epochs, 1)
     h = History()
 
     def observe(pid):
@@ -279,11 +355,11 @@ def _cache_fixture(bench, space):
         observe(pid)
     gp = DeepKernelGP(ctx, substream(0, "cache-gp"))
     cp = CostPredictor(ctx, substream(0, "cache-cp"))
-    inputs, y, _ = state.train_inputs(None)
+    inputs, y, _ = state.train_inputs(enc, None)
     gp.fit(inputs, y, steps=5, lr=1e-3)
     return SimpleNamespace(
-        view=view, ctx=ctx, encodings=encodings, state=state, h=h, observe=observe,
-        gp=gp, cp=cp, cache=_ScoreCache(gp, cp, state),
+        view=view, ctx=ctx, encodings=encodings, enc=enc, state=state, h=h, observe=observe,
+        gp=gp, cp=cp, cache=_ScoreCache(gp, cp, state, enc),
     )
 
 
@@ -302,10 +378,10 @@ def test_score_cache_incremental_matches_rebuild(tiny_bench, small_space):
     order = [3, 0, 4, 1] + [pid for _ in range(6) for pid in range(f.view.n_pipelines)]
     for pid in order:
         f.observe(pid)
-        cache.apply_evaluation(state, state.n_rows - 1, pid)
+        cache.apply_evaluation(state)
     assert state.n_rows == 3 + len(order) > cap0 == 64
     assert cache.L.shape[0] > cap0
-    fresh = _ScoreCache(f.gp, cp, state)
+    fresh = _ScoreCache(f.gp, cp, state, f.enc)
     pool = np.arange(f.view.n_pipelines)
     m1, s1 = cache.moments(pool)
     m2, s2 = fresh.moments(pool)
@@ -339,7 +415,7 @@ def test_rank1_update_rejects_a_nan_latent(bench, small_space, monkeypatch):
         lambda self, inputs: np.full((len(inputs), LATENT_WIDTH), np.nan),
     )
     with pytest.raises(ValueError):
-        f.cache.apply_evaluation(f.state, f.state.n_rows - 1, 3)
+        f.cache.apply_evaluation(f.state)
     assert np.isfinite(f.cache.L).all()
 
 

