@@ -111,7 +111,7 @@ def main() -> None:
                     "baseline", "--method", method, "--bench", bench_dir,
                     "--dataset", did, "--budget-seconds", budget,
                     "--seed", seeds, "--jobs", str(args.jobs), "--out", runs_dir,
-                    "--fit-steps", "10",
+                    *(["--fit-steps", "10"] if method == "gp-full" else []),
                 ]
             )
 

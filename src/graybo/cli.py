@@ -220,7 +220,7 @@ def _run_one_baseline(bench_dir: str, method: str, dataset: str, seed: int, opts
     view = bench.view(dataset)
     budget = opts["budget_seconds"]
     if method == "random":
-        trace = evalkit.random_search(view, space, budget, seed, max_steps=opts.get("max_steps"))
+        trace = evalkit.random_search(view, space, budget, seed, max_steps=opts["max_steps"])
     elif method == "sha":
         trace = evalkit.successive_halving(
             view, space, budget, eta=opts["eta"], r_min=opts["r_min"], seed=seed
@@ -233,7 +233,7 @@ def _run_one_baseline(bench_dir: str, method: str, dataset: str, seed: int, opts
             seed,
             fit_steps=opts["fit_steps"],
             lr=opts["lr"],
-            max_steps=opts.get("max_steps"),
+            max_steps=opts["max_steps"],
         )
     else:
         raise UsageError(f"--method: unknown method {method!r}")
@@ -303,23 +303,35 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
+# the baseline methods and the options each reads, with their effective
+# defaults; giving a method an option it does not read is a usage error
+BASELINE_DEFAULTS = dict(eta=3, r_min=1, fit_steps=100, lr=1e-4, max_steps=None)
+BASELINE_OPTIONS = {
+    "random": {"max_steps"},
+    "sha": {"eta", "r_min"},
+    "gp-full": {"fit_steps", "lr", "max_steps"},
+}
+
+
 def cmd_baseline(args) -> int:
-    if args.method not in evalkit.BASELINE_METHODS:
+    if args.method not in BASELINE_OPTIONS:
         raise UsageError(f"--method: unknown method {args.method!r}")
+    opts = dict(BASELINE_DEFAULTS)
+    for name in BASELINE_DEFAULTS:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in BASELINE_OPTIONS[args.method]:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} does not apply to --method {args.method}")
+        opts[name] = value
     bench, _ = _load_bench(args.bench)
     datasets = _parse_id_list(args.dataset, bench)
     seeds = _parse_seed_list(args.seed)
     _positive(args.budget_seconds, "--budget-seconds")
-    if args.eta < 2:
-        raise UsageError(f"--eta must be >= 2, got {args.eta}")
-    opts = dict(
-        budget_seconds=args.budget_seconds,
-        eta=args.eta,
-        r_min=args.r_min,
-        fit_steps=args.fit_steps,
-        lr=args.lr,
-        max_steps=args.max_steps,
-    )
+    if opts["eta"] < 2:
+        raise UsageError(f"--eta must be >= 2, got {opts['eta']}")
+    opts["budget_seconds"] = args.budget_seconds
     paths = _grid_out_paths(args.out, args.method, datasets, seeds)
     work = [
         (args.bench, args.method, d, s, opts, paths[(d, s)]) for d in datasets for s in seeds
@@ -414,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--budget-seconds", type=float, required=True)
-    p.add_argument("--eta", type=int, default=3)
-    p.add_argument("--r-min", type=int, default=1)
-    p.add_argument("--fit-steps", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--eta", type=int, default=None, help="sha only (default 3)")
+    p.add_argument("--r-min", type=int, default=None, help="sha only (default 1)")
+    p.add_argument("--fit-steps", type=int, default=None, help="gp-full only (default 100)")
+    p.add_argument("--lr", type=float, default=None, help="gp-full only (default 1e-4)")
+    p.add_argument("--max-steps", type=int, default=None, help="random and gp-full only")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)

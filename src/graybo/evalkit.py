@@ -23,8 +23,6 @@ from .rng import substream
 
 log = logging.getLogger("graybo.evalkit")
 
-BASELINE_METHODS = ("random", "sha", "gp-full")
-
 
 class DegenerateBoundsError(ValueError):
     """Raised when a dataset's performance bounds collapse to a point."""

@@ -89,8 +89,9 @@ def softplus(x: np.ndarray):
     parameter (ReLU's kinks and exactly-linear regions are not)."""
     e = np.exp(-np.abs(x))
     y = np.maximum(x, 0.0) + np.log1p(e)
-    denom = 1.0 + e
-    sig = np.where(x >= 0.0, 1.0 / denom, e / denom)
+    # e <= 1, so max(e, [x >= 0]) picks 1 or e: the logistic sigmoid of x
+    # without a branchy np.where
+    sig = np.maximum(e, x >= 0.0) / (1.0 + e)
     return y, sig
 
 

@@ -35,6 +35,7 @@ from .surrogate import (
     _chol_with_jitter,
     kernel_matrix,
     scale_meta,
+    single_thread_numpy_blas,
     solve_lower,
 )
 
@@ -363,7 +364,7 @@ class _ScoreCache:
         A = kernel_matrix(self.Ztr[:n], self.Ztr[:n], gp.kernel) + noise * np.eye(n)
         L, jitter = _chol_with_jitter(A)
         self.diag = gp.kernel.signal_var + noise + jitter
-        self.L = np.zeros_like(self.Ztr[:, :1], shape=(self.Ztr.shape[0], self.Ztr.shape[0]))
+        self.L = np.zeros((self.Ztr.shape[0], self.Ztr.shape[0]))
         self.L[:n, :n] = L
         y_norm = gp.normalize(y)
         self.w = np.empty(self.Ztr.shape[0])
@@ -440,6 +441,7 @@ class _ScoreCache:
         return self.cost_pred[pool]
 
 
+@single_thread_numpy_blas()
 def tune(
     view: DatasetView,
     space: SearchSpace,
@@ -453,6 +455,10 @@ def tune(
     With ``use_meta`` the predictors start from the checkpoint's
     meta-learned parameters; with ``use_cost`` off the acquisition
     denominator is one and the cost model is left untouched.
+
+    numpy's bundled OpenBLAS runs on the calling thread for the duration of
+    the run (``single_thread_numpy_blas``); the caller's thread count is
+    restored on return or on an exception.
     """
     n_epochs = view.n_epochs
     dt = n_epochs if cfg.full_fidelity else cfg.dt

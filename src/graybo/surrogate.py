@@ -10,6 +10,7 @@ marginal likelihood.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import math
@@ -25,36 +26,73 @@ from .core import EncodedPipeline, MetaFeatures, SearchSpace
 from .neural import CurveEncoder, Dense, FitReport, MLP, ParamBlock, fit_best
 
 
+def bundled_openblas_threads(libs_dir: str):
+    """The (get, set) num-threads functions of a wheel-bundled OpenBLAS
+    (``libscipy_openblas*.so``) that is already loaded from ``libs_dir``, or
+    None.  numpy's 64-bit-integer build suffixes its symbols with ``64_``.
+    The library is looked up with ``RTLD_NOLOAD``, so nothing new is loaded,
+    and builds without one (MKL, Accelerate, conda) give None.
+    """
+    for path in sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", ""), ("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _libs_dir(package) -> str:
+    return os.path.join(os.path.dirname(os.path.dirname(package.__file__)), f"{package.__name__}.libs")
+
+
 def single_thread_scipy_blas(libs_dir: str | None = None) -> None:
     """Run scipy's bundled OpenBLAS (used here only by the LAPACK ``trtrs``
     triangular solves of ``solve_lower``) on the calling thread.
 
     A wheel install loads two OpenBLAS libraries, numpy's and scipy's, each
     with its own thread pool whose idle threads spin for ~0.1 s after every
-    call; on a small machine the two pools fight the main thread for cores.
+    call; on a small machine the pools fight the main thread for cores.
     The solves are too small to gain from threads, so scipy's pool is set to
-    one thread once, at import; numpy's pool (gemm, Cholesky) keeps
-    OpenBLAS's defaults.  ``fork`` children inherit the setting.  Only a
-    library that is already loaded is touched, and builds without one (MKL,
-    Accelerate, conda) are left alone.
+    one thread once, at import; numpy's pool (gemm, Cholesky) keeps the
+    caller's setting except while ``single_thread_numpy_blas`` is in force.
+    ``fork`` children inherit the setting.
     """
-    if libs_dir is None:
-        libs_dir = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas*.so"))):
-        try:
-            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                setter(1)
-                break
+    threads = bundled_openblas_threads(libs_dir or _libs_dir(scipy))
+    if threads is not None:
+        threads[1](1)
 
 
 single_thread_scipy_blas()
+
+
+@contextlib.contextmanager
+def single_thread_numpy_blas(libs_dir: str | None = None):
+    """Run numpy's bundled OpenBLAS pool on the calling thread inside the
+    block (or decorated function), then restore the caller's thread count,
+    on an exception too.  ``optimizer.tune`` runs under it: its products and
+    Cholesky factors are small and come between long stretches of Python,
+    so a second BLAS thread mostly spins idle.  Importing graybo leaves
+    numpy's pool alone, and without a bundled library this does nothing.
+    """
+    threads = bundled_openblas_threads(libs_dir or _libs_dir(np))
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
 
 SQRT5 = math.sqrt(5.0)
 NOISE_FLOOR = 1e-8

@@ -5,8 +5,8 @@ inputs, the GP posterior and the cost predictions up to date one
 evaluation at a time.  The functions here recompute the same quantities
 from a ``History`` alone, by the definitions, so tests can check the
 incremental path against them.  The finite-difference gradient oracle,
-the scalar expected improvement and the one-query latent vector live here
-too.
+the scalar expected improvement, the one-query latent vector and the
+``np.where`` form of softplus live here too.
 """
 
 from __future__ import annotations
@@ -187,3 +187,12 @@ def fd_noise_floor(f_scale: float, h: float = 1e-5, chain: float = 4e3) -> float
     GP marginal-likelihood evaluation path."""
     eps = np.finfo(np.float64).eps
     return chain * eps * max(1.0, abs(f_scale)) / h
+
+
+def softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``neural.softplus`` by its textbook branches: log(1 + e^x) and the
+    logistic sigmoid picked per sign with ``np.where``."""
+    e = np.exp(-np.abs(x))
+    y = np.maximum(x, 0.0) + np.log1p(e)
+    denom = 1.0 + e
+    return y, np.where(x >= 0.0, 1.0 / denom, e / denom)

@@ -376,6 +376,44 @@ def test_baseline_rejects_zero_max_steps(bench_dir, tmp_path, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "method, flag, value",
+    [
+        ("sha", "--max-steps", "3"),
+        ("sha", "--fit-steps", "3"),
+        ("sha", "--lr", "1e-3"),
+        ("random", "--eta", "2"),
+        ("random", "--r-min", "1"),
+        ("random", "--fit-steps", "3"),
+        ("random", "--lr", "1e-3"),
+        ("gp-full", "--eta", "2"),
+        ("gp-full", "--r-min", "1"),
+    ],
+)
+def test_baseline_rejects_flags_its_method_ignores(bench_dir, tmp_path, capsys, method, flag, value):
+    out = tmp_path / "bad.json"
+    assert main(_baseline_args(bench_dir, out, method=method, extra=[flag, value])) == 2
+    assert not out.exists()
+    assert f"{flag} does not apply to --method {method}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [
+        ("random", ["--max-steps", "50", "--jobs", "2"]),
+        ("gp-full", ["--fit-steps", "3", "--max-steps", "3", "--jobs", "2"]),
+        ("sha", ["--eta", "2", "--r-min", "2"]),
+    ],
+)
+def test_baseline_accepts_the_flags_its_method_reads(bench_dir, tmp_path, method, extra):
+    # random and gp-full: the baseline commands of perfbench's grid workload
+    runs = tmp_path / "runs"
+    args = _baseline_args(bench_dir, runs, method=method, extra=extra)
+    args[args.index("--seed") + 1] = "0,1"
+    assert main(args) == 0
+    assert sorted(os.listdir(runs)) == [f"{method}_d00_s0.json", f"{method}_d00_s1.json"]
+
+
 def test_baseline_random_deterministic(bench_dir, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(_baseline_args(bench_dir, a)) == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracle import fd_noise_floor, grad_check, history_inputs
+from oracle import softplus as softplus_where
 
 from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.costmodel import CostPredictor
@@ -194,6 +195,17 @@ def test_softplus_positive_and_smooth():
     assert np.all((sig > 0.0) & (sig <= 1.0))
     interior = sig[1:4]
     assert np.all((interior > 0.0) & (interior < 1.0))
+
+
+@pytest.mark.parametrize("shape", [(64, 8, 50), (96, 8, 50), (100, 8, 50), (1000, 8, 50), (96, 32)])
+def test_softplus_matches_the_where_form_byte_for_byte(shape):
+    rng = substream(0, "softplus", *shape)
+    specials = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320, 36.0, -36.0]
+    for scale in (1e-3, 1e-1, 1.0, 5.0, 30.0):
+        x = rng.normal(size=shape) * scale
+        x.flat[: len(specials)] = specials
+        for got, want in zip(softplus(x), softplus_where(x)):
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from oracle import (
 )
 
 from graybo.core import History, Observation, encode, sample_pipeline
+from graybo.optimizer import TuneConfig, tune
 from graybo.rng import substream
 from graybo.surrogate import (
     JITTER_LADDER,
@@ -29,7 +30,9 @@ from graybo.surrogate import (
     PredictorContext,
     SingularKernelError,
     _chol_with_jitter,
+    bundled_openblas_threads,
     kernel_matrix,
+    single_thread_numpy_blas,
     single_thread_scipy_blas,
     solve_lower,
 )
@@ -523,3 +526,60 @@ def test_fork_child_inherits_single_thread_scipy_blas():
 def test_single_thread_scipy_blas_without_a_library(tmp_path):
     single_thread_scipy_blas(str(tmp_path))
     single_thread_scipy_blas(str(tmp_path / "missing"))
+
+
+NUMPY_BLAS = _bundled_openblas(np, "libscipy_openblas64_*.so")
+needs_numpy_openblas = pytest.mark.skipif(
+    NUMPY_BLAS is None or not hasattr(NUMPY_BLAS, "scipy_openblas_get_num_threads64_"),
+    reason="numpy has no bundled OpenBLAS",
+)
+
+
+@pytest.fixture()
+def numpy_pool_of_two():
+    """numpy's pool set to two threads for the test, then put back."""
+    before = NUMPY_BLAS.scipy_openblas_get_num_threads64_()
+    NUMPY_BLAS.scipy_openblas_set_num_threads64_(2)
+    yield NUMPY_BLAS.scipy_openblas_get_num_threads64_
+    NUMPY_BLAS.scipy_openblas_set_num_threads64_(before)
+
+
+def _tiny_tune(tiny_bench, small_space):
+    view = tiny_bench.view(tiny_bench.dataset_ids[0])
+    cfg = TuneConfig(budget_seconds=1e9, use_meta=False, fit_steps=2, seed=0, max_steps=4)
+    return tune(view, small_space, cfg)
+
+
+@needs_numpy_openblas
+def test_tune_runs_numpy_blas_on_one_thread(tiny_bench, small_space, numpy_pool_of_two, monkeypatch):
+    seen = []
+    fit = DeepKernelGP.fit
+
+    def spy(self, *args, **kwargs):
+        seen.append(numpy_pool_of_two())
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(DeepKernelGP, "fit", spy)
+    _tiny_tune(tiny_bench, small_space)
+    assert seen and set(seen) == {1}
+    assert numpy_pool_of_two() == 2
+
+
+@needs_numpy_openblas
+def test_tune_restores_numpy_blas_threads_after_an_exception(
+    tiny_bench, small_space, numpy_pool_of_two, monkeypatch
+):
+    def boom(self, *args, **kwargs):
+        raise FloatingPointError("fit failed")
+
+    monkeypatch.setattr(DeepKernelGP, "fit", boom)
+    with pytest.raises(FloatingPointError, match="fit failed"):
+        _tiny_tune(tiny_bench, small_space)
+    assert numpy_pool_of_two() == 2
+
+
+def test_single_thread_numpy_blas_without_a_library(tmp_path):
+    for libs in (tmp_path, tmp_path / "missing"):
+        assert bundled_openblas_threads(str(libs)) is None
+        with single_thread_numpy_blas(str(libs)):
+            pass
