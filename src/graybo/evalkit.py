@@ -14,7 +14,6 @@ import warnings
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .benchtab import DatasetView, TabularBenchmark
 from .core import SearchSpace
@@ -210,20 +209,27 @@ def rank_table(
     regrets_by_dataset: Mapping[str, Mapping[str, float]]
 ) -> dict[str, tuple[float, float]]:
     """Per-method mean and std of rank across datasets; within a dataset,
-    methods rank by regret ascending with ties given the average rank."""
+    methods rank by regret ascending with ties given the average rank.
+
+    The ranks equal ``scipy.stats.rankdata(row, method="average")``: a
+    value's rank is the count of smaller values plus (its ties, itself
+    included, + 1) / 2, and a dataset with a NaN regret ranks all NaN."""
     datasets = list(regrets_by_dataset)
     if not datasets:
         raise ValueError("no datasets to rank")
     methods = sorted(regrets_by_dataset[datasets[0]])
-    rank_rows = []
+    rows = []
     for did in datasets:
         cell = regrets_by_dataset[did]
         missing = [m for m in methods if m not in cell] + [m for m in cell if m not in methods]
         if missing:
             raise ValueError(f"dataset {did!r}: method set mismatch ({missing})")
-        ranks = sstats.rankdata([cell[m] for m in methods], method="average")
-        rank_rows.append(ranks)
-    arr = np.array(rank_rows)
+        rows.append([cell[m] for m in methods])
+    vals = np.array(rows, dtype=np.float64)
+    below = (vals[:, None, :] < vals[:, :, None]).sum(axis=2)
+    tied = (vals[:, None, :] == vals[:, :, None]).sum(axis=2)
+    arr = below + 0.5 * (tied + 1)
+    arr[np.isnan(vals).any(axis=1)] = np.nan
     return {
         m: (float(arr[:, j].mean()), float(arr[:, j].std()))
         for j, m in enumerate(methods)

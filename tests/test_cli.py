@@ -1,11 +1,14 @@
+import ctypes
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
+from graybo import benchtab, cli
 from graybo.cli import main
 from graybo.core import load_space, save_space
 from graybo.metalearn import MetaCheckpoint
@@ -438,6 +441,107 @@ def test_baseline_gp_full(bench_dir, tmp_path):
     assert main(args) == 0
     trace = json.load(open(out))
     assert all(s["epoch"] == 6 for s in trace["steps"])
+
+
+# ---------------------------------------------------------------------------
+# tune and baseline: inputs that would run nothing, one load per command
+
+
+@pytest.mark.parametrize("command", ["tune", "baseline"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", ","), ("--dataset", ","), ("--jobs", "0"), ("--jobs", "-2")],
+    ids=["seed-empty", "dataset-empty", "jobs-0", "jobs-negative"],
+)
+def test_grid_commands_reject_inputs_that_run_nothing(bench_dir, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "runs"
+    make = _tune_args if command == "tune" else _baseline_args
+    args = make(bench_dir, out)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    assert main(args) == 2
+    assert not out.exists()
+    assert flag in capsys.readouterr().err
+
+
+@pytest.fixture()
+def tiny_bench_dir(tiny_bench, small_space, tmp_path):
+    out = tmp_path / "tiny"
+    out.mkdir()
+    save_space(small_space, out / "space.json")
+    benchtab.save_metadataset(tiny_bench.md, small_space, out)
+    return out
+
+
+@pytest.mark.parametrize("command", ["tune", "baseline"])
+def test_grid_commands_load_the_table_once(tiny_bench, tiny_bench_dir, tmp_path, monkeypatch, command):
+    calls = []
+    load = benchtab.load_metadataset
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(benchtab, "load_metadataset", counting_load)
+    make = _tune_args if command == "tune" else _baseline_args
+    args = make(tiny_bench_dir, tmp_path / "runs")
+    args[args.index("--dataset") + 1] = tiny_bench.dataset_ids[0]
+    args[args.index("--seed") + 1] = "1,2"
+    assert main(args) == 0
+    assert len(os.listdir(tmp_path / "runs")) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["tune", "baseline"])
+def test_fork_workers_write_the_traces_a_single_process_writes(bench_dir, tmp_path, command):
+    if command == "tune":
+        ck = tmp_path / "ck.json"
+        assert main(["metatrain", "--bench", str(bench_dir), "--folds", "4", "--iters", "3",
+                     "--out", str(ck)]) == 0
+        extra = ["--checkpoint", str(ck)]  # the checkpoint reaches workers pickled too
+    else:
+        extra = ["--max-steps", "30"]
+    make = _tune_args if command == "tune" else _baseline_args
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"runs{jobs}"
+        args = make(bench_dir, outs[jobs], extra=[*extra, "--jobs", jobs])
+        args[args.index("--dataset") + 1] = "d00,d01"
+        args[args.index("--seed") + 1] = "0,1"
+        assert main(args) == 0
+    names = sorted(os.listdir(outs["1"]))
+    assert len(names) == 4 and names == sorted(os.listdir(outs["2"]))
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+class _FakeMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_keep_heap_top_sets_glibc_top_pad():
+    mallopt = _FakeMallopt()
+    cli._keep_heap_top(types.SimpleNamespace(mallopt=mallopt))
+    assert mallopt.calls == [(-2, 64 << 20)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def test_keep_heap_top_without_mallopt_does_nothing():
+    cli._keep_heap_top(object())  # a C library without the symbol
+
+
+def test_main_keeps_the_heap_top_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_heap_top", lambda: calls.append(1))
+    assert main(["gen"]) == 2
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

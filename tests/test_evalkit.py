@@ -327,6 +327,34 @@ def test_rank_table_matches_sort_oracle():
         assert ranks[m][1] == pytest.approx(np.std(per_method[m]))
 
 
+def _rankdata_table(rows, methods):
+    # the (mean, std) per method that scipy's average ranks give
+    arr = np.array([sstats.rankdata(r, method="average") for r in rows])
+    return {m: (float(arr[:, j].mean()), float(arr[:, j].std())) for j, m in enumerate(methods)}
+
+
+def test_rank_table_equals_scipy_rankdata():
+    rng = substream(3, "rankdata")
+    for trial in range(300):
+        n_methods = int(rng.integers(1, 7))
+        methods = [f"m{j}" for j in range(n_methods)]
+        rows = rng.choice([-np.inf, -0.0, 0.0, 0.1, 0.2, 0.2, 0.5, np.inf], size=(4, n_methods))
+        rows[0] = rng.uniform(size=n_methods)
+        if trial % 3 == 0:
+            rows[1, int(rng.integers(n_methods))] = np.nan
+        regrets = {f"d{i}": dict(zip(methods, map(float, r))) for i, r in enumerate(rows)}
+        got = rank_table(regrets)
+        want = _rankdata_table(rows, methods)
+        # bitwise, so NaN equals NaN
+        assert np.array([got[m] for m in methods]).tobytes() == np.array(
+            [want[m] for m in methods]
+        ).tobytes()
+        for r in rows:  # one dataset: its mean rank is the row's rank
+            one = rank_table({"d": dict(zip(methods, map(float, r)))})
+            ranks = sstats.rankdata(r, method="average")
+            assert np.array([one[m][0] for m in methods]).tobytes() == ranks.tobytes()
+
+
 def test_rank_table_missing_cell_raises():
     with pytest.raises(ValueError):
         rank_table({"d0": {"a": 0.1, "b": 0.2}, "d1": {"a": 0.1}})
