@@ -8,14 +8,15 @@ logging.
 Each command pays its start-up once: no module imports ``scipy.stats`` at
 import time, ``tune`` and ``baseline`` parse the table (and the checkpoint)
 once and hand each run its dataset view, which fork workers receive as task
-arguments, and ``main`` keeps glibc from trimming the heap top between fits
-(``_keep_heap_top``).
+arguments.  Importing graybo keeps glibc from trimming the heap top between
+fits (``surrogate.keep_heap_top``), in this process and its fork workers.
+Every run's settings are checked before ``--out`` is created, so a rejected
+command leaves no output behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import logging
 import os
@@ -37,9 +38,6 @@ EXIT_NUMERIC = 5
 
 ABLATIONS = ("no-meta", "no-cost", "full-fidelity")
 
-M_TOP_PAD = -2  # glibc mallopt parameter: bytes kept free at the heap top
-TOP_PAD_BYTES = 64 << 20
-
 
 class UsageError(ValueError):
     pass
@@ -53,23 +51,6 @@ def _configure_logging(quiet: bool) -> None:
     if quiet:
         level = logging.ERROR
     logging.basicConfig(stream=sys.stderr, level=level, force=True)
-
-
-def _keep_heap_top(libc=None) -> None:
-    """Set glibc's ``M_TOP_PAD`` to 64 MiB for this process and its forks.
-
-    A fit frees several MB at the top of the heap; with glibc's default pad
-    the heap is trimmed and the next iteration faults the pages back in: the
-    ``perfbench`` grid's tune command took ~600k minor faults and 1.4 s of
-    system time, and ~24k and 0.15 s with the pad (2 vCPUs, glibc 2.36).
-    Does nothing where the C library has no ``mallopt``."""
-    try:
-        mallopt = (libc or ctypes.CDLL(None)).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_TOP_PAD, TOP_PAD_BYTES)
 
 
 def _positive(value: int | float, flag: str):
@@ -235,8 +216,7 @@ def cmd_metatrain(args) -> int:
 # tune / baseline grids
 
 
-def _run_one_tune(view, space, checkpoint, checkpoint_path, seed: int, cfg_kwargs: dict, out_path: str) -> str:
-    cfg = TuneConfig(seed=seed, **cfg_kwargs)
+def _run_one_tune(view, space, checkpoint, checkpoint_path, cfg: TuneConfig, out_path: str) -> str:
     trace = tune(view, space, cfg, checkpoint=checkpoint, method="tune")
     trace.flags["checkpoint"] = checkpoint_path
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -320,11 +300,12 @@ def cmd_tune(args) -> int:
         max_steps=args.max_steps,
         refit_period=args.refit_period,
     )
+    cfgs = {s: TuneConfig(seed=s, **cfg_kwargs) for s in seeds}  # checked before --out exists
     checkpoint_path = args.checkpoint if use_meta else None
     checkpoint = metalearn.MetaCheckpoint.load(checkpoint_path) if use_meta else None
     paths = _grid_out_paths(args.out, "tune", datasets, seeds)
     work = [
-        (bench.view(d), space, checkpoint, checkpoint_path, s, cfg_kwargs, paths[(d, s)])
+        (bench.view(d), space, checkpoint, checkpoint_path, cfgs[s], paths[(d, s)])
         for d in datasets
         for s in seeds
     ]
@@ -359,9 +340,16 @@ def cmd_baseline(args) -> int:
     _positive(args.budget_seconds, "--budget-seconds")
     if opts["eta"] < 2:
         raise UsageError(f"--eta must be >= 2, got {opts['eta']}")
+    if opts["max_steps"] is not None and opts["max_steps"] < 1:
+        raise UsageError(f"--max-steps must be >= 1, got {opts['max_steps']}")
+    if args.method == "gp-full":  # checks --fit-steps and --lr before --out exists
+        TuneConfig(budget_seconds=args.budget_seconds, fit_steps=opts["fit_steps"], lr=opts["lr"])
     opts["budget_seconds"] = args.budget_seconds
     bench, space = _load_bench(args.bench)
     datasets = _parse_id_list(args.dataset, bench)
+    n_epochs = bench.md.n_epochs
+    if args.method == "sha" and not 1 <= opts["r_min"] <= n_epochs:
+        raise UsageError(f"--r-min must lie in [1, {n_epochs}], got {opts['r_min']}")
     paths = _grid_out_paths(args.out, args.method, datasets, seeds)
     work = [
         (bench.view(d), space, args.method, s, opts, paths[(d, s)])
@@ -478,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _keep_heap_top()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

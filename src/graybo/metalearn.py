@@ -9,7 +9,6 @@ early-stopping signal; the best-so-far parameters become the checkpoint.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +33,7 @@ from .surrogate import (
     PredictorInputs,
     SingularKernelError,
     assemble_inputs,
+    scale_meta,
 )
 
 MAX_CONSECUTIVE_SKIPS = 50
@@ -193,12 +193,16 @@ class MetaTrainResult:
 
 
 class _DatasetCache:
-    """Precomputed encodings, contexts, and normalization per dataset."""
+    """Per-dataset network inputs, stacked once, and target normalization."""
 
     def __init__(self, table: DatasetTable, space: SearchSpace, ctx_proto: PredictorContext) -> None:
         self.table = table
-        self.ctx = dataclasses.replace(ctx_proto, meta=table.meta)
-        self.encodings = [encode(p, space) for p in table.pipelines]
+        self.n_epochs = ctx_proto.n_epochs
+        self.dt = ctx_proto.dt
+        features = np.stack([encode(p, space).features for p in table.pipelines])
+        self.hp = features[:, : ctx_proto.hp_width]
+        self.onehot = features[:, ctx_proto.hp_width :]
+        self.meta_row = scale_meta(table.meta)
         std = float(table.losses.std())
         self.y_mean = float(table.losses.mean())
         self.y_std = std if std > 0 else 1.0
@@ -206,18 +210,18 @@ class _DatasetCache:
     def cell_batch(self, pis: np.ndarray, eps: np.ndarray) -> tuple[PredictorInputs, np.ndarray, np.ndarray]:
         """Inputs, loss targets, and cost targets for (pipeline, epoch) cells.
 
-        The curve input is the pipeline's true loss prefix at epochs
-        strictly before the cell's epoch."""
-        n_ep = self.table.n_epochs
-        dt = self.ctx.dt
-        encs, curves, epochs = [], [], []
-        for pi, ep in zip(pis, eps):
-            encs.append(self.encodings[pi])
-            curve = np.zeros(n_ep)
-            curve[: max(ep - dt, 0)] = self.table.losses[pi, : max(ep - dt, 0)]
-            curves.append(curve)
-            epochs.append(int(ep))
-        inputs = assemble_inputs(self.ctx, encs, curves, epochs)
+        The curve input is the pipeline's true losses at epochs 1 .. epoch
+        - dt (none when epoch <= dt), zero-padded; built for all cells at
+        once (``tests/oracle.py`` keeps the per-cell form)."""
+        losses = self.table.losses[pis]
+        prefix = np.maximum(eps - self.dt, 0)
+        inputs = PredictorInputs(
+            hp=self.hp[pis],
+            model_onehot=self.onehot[pis],
+            curves=np.where(np.arange(losses.shape[1]) < prefix[:, None], losses, 0.0),
+            tfrac=np.asarray(eps, dtype=np.float64) / self.n_epochs,
+            meta=np.tile(self.meta_row, (len(pis), 1)),
+        )
         y = self.table.losses[pis, eps - 1]
         c = self.table.costs[pis, eps - 1]
         return inputs, y, c
@@ -306,9 +310,10 @@ def meta_train(
         eps = iter_rng.integers(1, n_epochs + 1, size=batch_size)
         inputs, y, c = cache.cell_batch(pis, eps)
         gp.y_mean, gp.y_std = cache.y_mean, cache.y_std
+        flat1 = gp.fx.curve_encoder.unroll(inputs.curves)  # read-only, shared by both predictors
         try:
             adam_gp.zero_grad()
-            gp.nll_with_grads(inputs, y)
+            gp.nll_with_grads(inputs, y, flat1=flat1)
             adam_gp.step()
             consecutive_skips = 0
         except SingularKernelError:
@@ -318,7 +323,7 @@ def meta_train(
                     f"meta-training aborted: {consecutive_skips} singular batches in a row"
                 )
         adam_cp.zero_grad()
-        cp.mse_with_grads(inputs, c)
+        cp.mse_with_grads(inputs, c, flat1=flat1)
         adam_cp.step()
 
         if ran % eval_every == 0:

@@ -5,18 +5,21 @@ inputs, the GP posterior and the cost predictions up to date one
 evaluation at a time.  The functions here recompute the same quantities
 from a ``History`` alone, by the definitions, so tests can check the
 incremental path against them.  The finite-difference gradient oracle,
-the scalar expected improvement, the one-query latent vector and the
-``np.where`` form of softplus live here too.
+the scalar expected improvement, the one-query latent vector, the
+``np.where`` form of softplus and the per-cell meta-train batch live here
+too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from graybo.acquisition import ei_scores, expected_improvement_batch
-from graybo.core import EncodedPipeline, History, incumbent_loss
+from graybo.benchtab import DatasetTable
+from graybo.core import EncodedPipeline, History, SearchSpace, encode, incumbent_loss
 from graybo.costmodel import CostPredictor
 from graybo.neural import ParamBlock
 from graybo.optimizer import _Encodings, _RunState
@@ -196,3 +199,27 @@ def softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.maximum(x, 0.0) + np.log1p(e)
     denom = 1.0 + e
     return y, np.where(x >= 0.0, 1.0 / denom, e / denom)
+
+
+def cell_batch(
+    table: DatasetTable,
+    space: SearchSpace,
+    ctx: PredictorContext,
+    pis: np.ndarray,
+    eps: np.ndarray,
+) -> tuple[PredictorInputs, np.ndarray, np.ndarray]:
+    """``metalearn._DatasetCache.cell_batch`` built one cell at a time:
+    each (pipeline, epoch) cell's curve is a zero vector with the
+    pipeline's true losses copied in up to epoch - dt."""
+    ctx = dataclasses.replace(ctx, meta=table.meta)
+    encodings = [encode(p, space) for p in table.pipelines]
+    n_ep = table.n_epochs
+    encs, curves, epochs = [], [], []
+    for pi, ep in zip(pis, eps):
+        encs.append(encodings[pi])
+        curve = np.zeros(n_ep)
+        curve[: max(ep - ctx.dt, 0)] = table.losses[pi, : max(ep - ctx.dt, 0)]
+        curves.append(curve)
+        epochs.append(int(ep))
+    inputs = assemble_inputs(ctx, encs, curves, epochs)
+    return inputs, table.losses[pis, eps - 1], table.costs[pis, eps - 1]

@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import types
 
 import pytest
 
-from graybo import benchtab, cli
+from graybo import benchtab, surrogate
 from graybo.cli import main
 from graybo.core import load_space, save_space
 from graybo.metalearn import MetaCheckpoint
 from graybo.optimizer import RunTrace
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _gen_args(out, datasets=4, configs=6, epochs=6, models=3, seed=1, clusters=2):
@@ -325,6 +328,13 @@ def test_tune_rejects_nan_lr_and_zero_max_steps(bench_dir, tmp_path, flag):
     assert not out.exists()
 
 
+def test_tune_grid_rejects_bad_settings_before_creating_out(bench_dir, tmp_path):
+    out = tmp_path / "runs"
+    args = _tune_args(bench_dir, out, seed="1,2", extra=["--fit-steps", "-3"])
+    assert main(args) == 2
+    assert not out.exists()
+
+
 def test_tune_grid_writes_one_file_per_run(bench_dir, tmp_path):
     out = tmp_path / "runs"
     args = _tune_args(bench_dir, out, dataset="d00,d01", seed="0,1")
@@ -376,6 +386,20 @@ def test_baseline_unknown_method(bench_dir, tmp_path, capsys):
 def test_baseline_rejects_zero_max_steps(bench_dir, tmp_path, method):
     out = tmp_path / "bad.json"
     assert main(_baseline_args(bench_dir, out, method=method, extra=["--max-steps", "0"])) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method, flag, value",
+    [("random", "--max-steps", "0"), ("gp-full", "--fit-steps", "-3"), ("sha", "--r-min", "0"),
+     ("sha", "--r-min", "7")],
+    ids=["random-max-steps-0", "gp-full-fit-steps-negative", "sha-r-min-0", "sha-r-min-past-horizon"],
+)
+def test_baseline_grid_rejects_bad_settings_before_creating_out(bench_dir, tmp_path, method, flag, value):
+    out = tmp_path / "runs"
+    args = _baseline_args(bench_dir, out, method=method, extra=[flag, value])
+    args[args.index("--seed") + 1] = "1,2"
+    assert main(args) == 2
     assert not out.exists()
 
 
@@ -528,20 +552,56 @@ class _FakeMallopt:
 
 def test_keep_heap_top_sets_glibc_top_pad():
     mallopt = _FakeMallopt()
-    cli._keep_heap_top(types.SimpleNamespace(mallopt=mallopt))
+    surrogate.keep_heap_top(types.SimpleNamespace(mallopt=mallopt))
     assert mallopt.calls == [(-2, 64 << 20)]
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
 
 
 def test_keep_heap_top_without_mallopt_does_nothing():
-    cli._keep_heap_top(object())  # a C library without the symbol
+    surrogate.keep_heap_top(object())  # a C library without the symbol
 
 
-def test_main_keeps_the_heap_top_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "_keep_heap_top", lambda: calls.append(1))
-    assert main(["gen"]) == 2
-    assert calls == [1]
+def test_import_keeps_the_heap_top_once():
+    """``import graybo`` sets the pad once, before any CLI call; importing
+    the CLI afterwards does not set it again."""
+    script = textwrap.dedent(
+        """
+        import ctypes
+
+        calls = []
+        real_cdll = ctypes.CDLL
+
+
+        class Libc:
+            def __init__(self, lib):
+                self.lib = lib
+
+            def __getattr__(self, name):
+                if name != "mallopt":
+                    return getattr(self.lib, name)
+
+                def mallopt(param, value):
+                    calls.append((param, value))
+                    return 1
+
+                return mallopt
+
+
+        def spy(name, *args, **kwargs):
+            lib = real_cdll(name, *args, **kwargs)
+            return Libc(lib) if name is None else lib
+
+
+        ctypes.CDLL = spy
+        import graybo
+        import graybo.cli
+        print(calls)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([(-2, 64 << 20)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from graybo.benchtab import DatasetTable, GeneratorConfig, generate
 from graybo.metalearn import (
     FoldSplit,
+    _DatasetCache,
     MetaCheckpoint,
     MetaTrainResult,
     meta_train,
@@ -14,6 +15,9 @@ from graybo.metalearn import (
     zero_shot_rank_eval,
 )
 from graybo.rng import substream
+from graybo.surrogate import PredictorContext
+
+import oracle
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,37 @@ def micro_md(small_space):
         seed=3,
     )
     return generate(cfg, small_space)
+
+
+# ---------------------------------------------------------------------------
+# meta-train batches
+
+
+def _same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dt", [1, 2])
+def test_cell_batch_equals_per_cell_oracle(micro_md, small_space, dt):
+    table = next(iter(micro_md.datasets.values()))
+    n_ep = table.n_epochs
+    ctx = PredictorContext.from_space(small_space, table.meta, n_ep, dt)
+    cache = _DatasetCache(table, small_space, ctx)
+    rng = substream(5, "cell-batch", dt)
+    pis = rng.integers(table.n_pipelines, size=64)
+    eps = rng.integers(1, n_ep + 1, size=64)
+    eps[:3] = [1, dt, dt + 1]  # all-zero curves up to epoch dt
+    batches = [(pis, eps), (pis[:1], eps[:1]), (pis[1:2], eps[1:2]), (pis[-1:], eps[-1:])]
+    for p, e in batches:
+        got_inputs, got_y, got_c = cache.cell_batch(p, e)
+        want_inputs, want_y, want_c = oracle.cell_batch(table, small_space, ctx, p, e)
+        for field in ("hp", "model_onehot", "curves", "tfrac", "meta"):
+            assert _same_bytes(getattr(got_inputs, field), getattr(want_inputs, field)), field
+        assert got_inputs.observed_cost is None
+        assert _same_bytes(got_y, want_y) and _same_bytes(got_c, want_c)
+    curves = cache.cell_batch(pis[:3], eps[:3])[0].curves
+    assert not curves[:2].any()  # epoch <= dt: nothing observed yet
+    assert curves[2, :1].all() and not curves[2, 1:].any()
 
 
 # ---------------------------------------------------------------------------
