@@ -430,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--ablate", nargs="*", default=[], choices=ABLATIONS)
     p.add_argument("--dt", type=int, default=1)
-    p.add_argument("--fit-steps", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--fit-steps", type=int, default=100,
+                   help="Adam steps per GP refit (the cost head is solved in closed form)")
+    p.add_argument("--lr", type=float, default=1e-4, help="Adam learning rate of the GP fit")
     p.add_argument("--fit-window", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--refit-period", type=int, default=1)

@@ -3,8 +3,15 @@
 The network mirrors the surrogate's feature extractor (independent
 weights) with a scalar head regressing log(1 + cumulative cost seconds);
 squared error is minimized in that transformed space so large models do
-not dominate the objective.  It is trained (and meta-trained) on the
-cumulative cost of every observation.
+not dominate the objective.  Meta-training fits the whole network by Adam
+on the cumulative cost of every observation (``mse_with_grads``).
+
+Within a tuning run the extractor stays frozen and only the head adapts:
+``fit`` refits [W; b] on the run's observations in closed form, by ridge
+regression on the extractor's 32-wide latents, shrunk toward a prior head
+(the meta-learned one, or the seeded initial one without meta-learning)
+with weight ``HEAD_RIDGE`` -- the adaptive Bayesian linear regression
+idea of Perrone et al. 2018, as a point estimate.
 
 The predicted cumulative cost c_hat(x, tau) of a candidate's next epoch
 tau is formed in one of two ways:
@@ -27,10 +34,19 @@ import math
 
 import numpy as np
 
-from .neural import Dense, FitReport, ParamBlock, fit_best
+from .neural import Dense, FitReport, ParamBlock
 from .surrogate import LATENT_WIDTH, FeatureExtractor, PredictorContext, PredictorInputs
 
 STEP_COST_FLOOR = 1e-6
+# weight of the pull toward the prior head in ``CostPredictor.fit``;
+# checked against 0.1 and 10 on the meta-validation fold (CHANGES.md)
+HEAD_RIDGE = 1.0
+
+
+def log_cost_mse(raw: np.ndarray, costs: np.ndarray) -> float:
+    """Mean squared error of raw outputs against log1p(costs)."""
+    resid = raw - np.log1p(np.asarray(costs, dtype=np.float64))
+    return float(resid @ resid) / len(resid)
 
 
 class CostPredictor:
@@ -87,29 +103,32 @@ class CostPredictor:
         self.fx.backward(trace, dz)
         return value
 
-    def mse(self, inputs: PredictorInputs, costs: np.ndarray) -> float:
-        raw = self.raw_batch(inputs)
-        resid = raw - np.log1p(np.asarray(costs, dtype=np.float64))
-        return float(resid @ resid) / len(resid)
+    def head_vector(self) -> np.ndarray:
+        """The head as one (LATENT_WIDTH + 1,) vector [W; b]."""
+        return np.append(self.head.W.values[:, 0], self.head.b.values)
 
-    def fit(
-        self,
-        inputs: PredictorInputs,
-        costs: np.ndarray,
-        steps: int = 100,
-        lr: float = 1e-4,
-    ) -> FitReport:
-        """Full-batch Adam on the log-cost squared error through
-        ``fit_best``: the best parameters seen are kept, and a non-finite
-        loss or gradient rolls back."""
+    def fit(self, inputs: PredictorInputs, costs: np.ndarray, prior: np.ndarray) -> FitReport:
+        """Refit the head in closed form; the extractor is left as it is.
+
+        With latents z of the rows and X = [z, 1], the head becomes the
+        ridge solution of (X'X + HEAD_RIDGE I) theta = X' log1p(c) +
+        HEAD_RIDGE prior.  The report holds the log-cost MSE before and
+        after.  Non-finite latents or a non-finite solution leave the head
+        as it was and mark the report rolled back; no rows, no change.
+        """
         costs = np.asarray(costs, dtype=np.float64)
         if len(costs) == 0:
             return FitReport(math.nan, math.nan, 0)
-        flat1 = self.fx.curve_encoder.unroll(inputs.curves) if steps > 0 else None
-        return fit_best(
-            self.params(),
-            lambda: self.mse_with_grads(inputs, costs, flat1=flat1),
-            lambda: self.mse(inputs, costs),
-            steps,
-            lr,
-        )
+        z, _ = self.fx.forward(inputs)
+        X = np.hstack([z, np.ones((len(z), 1))])
+        initial = log_cost_mse(X @ self.head_vector(), costs)
+        if not np.all(np.isfinite(z)):
+            return FitReport(initial, initial, 0, rolled_back=True)
+        gram = X.T @ X
+        gram[np.diag_indices_from(gram)] += HEAD_RIDGE
+        theta = np.linalg.solve(gram, X.T @ np.log1p(costs) + HEAD_RIDGE * prior)
+        if not np.all(np.isfinite(theta)):
+            return FitReport(initial, initial, 0, rolled_back=True)
+        self.head.W.values[:, 0] = theta[:-1]
+        self.head.b.values[0] = theta[-1]
+        return FitReport(initial, log_cost_mse(X @ theta, costs), 1)

@@ -4,7 +4,9 @@ Each iteration samples one meta-train dataset, draws a batch of
 (pipeline, epoch) cells from its table, and takes one Adam step per
 predictor: GP marginal likelihood for the loss surrogate, squared error in
 log-cost space for the cost model.  A held-out fold provides the
-early-stopping signal; the best-so-far parameters become the checkpoint.
+early-stopping signal (the GP's validation NLL); the best-so-far parameters
+become the checkpoint.  The cost model's validation MSE is recorded at the
+same evaluations but selects nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .benchtab import DatasetTable, MetaDataset
 from .core import SearchSpace, encode
-from .costmodel import CostPredictor
+from .costmodel import CostPredictor, log_cost_mse
 from .neural import (
     Adam,
     CheckpointFormatError,
@@ -184,8 +186,13 @@ class _NamedArray:
 
 @dataclass
 class MetaTrainResult:
+    """``val_cost_mse_history`` is the cost net's log-cost MSE on the same
+    validation batches at every evaluation of ``val_nll_history``; it is
+    recorded only, and never selects the checkpoint."""
+
     checkpoint: MetaCheckpoint
     val_nll_history: list[float]
+    val_cost_mse_history: list[float]
     initial_val_nll: float
     best_val_nll: float
     stopped_early: bool
@@ -282,6 +289,10 @@ def meta_train(
             total += gp.nll(Z, y) / len(y)
         return total / max(len(val_batches), 1)
 
+    def val_cost_mse() -> float:
+        total = sum(log_cost_mse(cp.raw_batch(inputs), c) for _, (inputs, _, c) in val_batches)
+        return total / max(len(val_batches), 1)
+
     def snapshot() -> tuple[MetaCheckpoint, None]:
         manifest = {
             "seed": seed,
@@ -296,6 +307,7 @@ def meta_train(
     best_val = initial_val
     best_ckpt, _ = snapshot()
     history = [initial_val]
+    cost_history = [val_cost_mse()]
     evals_since_best = 0
     stopped_early = False
     iter_rng = substream(seed, "metatrain", "iterations")
@@ -329,6 +341,7 @@ def meta_train(
         if ran % eval_every == 0:
             v = val_nll()
             history.append(v)
+            cost_history.append(val_cost_mse())
             if v < best_val:
                 best_val = v
                 best_ckpt, _ = snapshot()
@@ -342,6 +355,7 @@ def meta_train(
     return MetaTrainResult(
         checkpoint=best_ckpt,
         val_nll_history=history,
+        val_cost_mse_history=cost_history,
         initial_val_nll=initial_val,
         best_val_nll=best_val,
         stopped_early=stopped_early,

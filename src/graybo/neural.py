@@ -1,8 +1,8 @@
 """Minimal differentiable substrate for the predictor networks.
 
 Fixed architectures only: dense layers, 1-D convolutions, softplus, mean
-pooling, Adam, and the best-state fit loop (``fit_best``) that both
-predictors train with.  Every layer exposes ``forward(x) -> (y, cache)`` and
+pooling, Adam, and the best-state fit loop (``fit_best``) that the GP
+trains with.  Every layer exposes ``forward(x) -> (y, cache)`` and
 ``backward(cache, dy) -> dx`` with parameter gradients accumulated into
 the owning :class:`ParamBlock`.  All arithmetic is float64.
 """

@@ -56,6 +56,9 @@ class TuneConfig:
     refits only every k-th iteration once 30 observations exist (the exact
     posterior still reconditions on the full history every iteration).
     All three default to the unbounded every-iteration behavior.
+
+    ``fit_steps`` and ``lr`` set the GP's Adam fit only: the cost model's
+    head is refit in closed form (``CostPredictor.fit``).
     """
 
     budget_seconds: float
@@ -454,7 +457,9 @@ def tune(
 
     With ``use_meta`` the predictors start from the checkpoint's
     meta-learned parameters; with ``use_cost`` off the acquisition
-    denominator is one and the cost model is left untouched.
+    denominator is one and the cost model is left untouched.  The cost
+    model's extractor never trains during a run: each refit solves for its
+    head, shrunk toward the head it started the run with.
 
     numpy's bundled OpenBLAS runs on the calling thread for the duration of
     the run (``single_thread_numpy_blas``); the caller's thread count is
@@ -471,6 +476,7 @@ def tune(
         if checkpoint is None:
             raise ValueError("use_meta requires a meta-learned checkpoint")
         checkpoint.apply_to(gp, cp)
+    cost_prior = cp.head_vector()  # every refit of the cost head shrinks toward it
 
     flags = cfg.flags()
     flags["seed"] = cfg.seed
@@ -502,7 +508,7 @@ def tune(
             inputs, y, costs = state.train_inputs(enc, cfg.fit_window)
             gp.fit(inputs, y, steps=cfg.fit_steps, lr=cfg.lr)
             if cfg.use_cost:
-                cp.fit(inputs, costs, steps=cfg.fit_steps, lr=cfg.lr)
+                cp.fit(inputs, costs, cost_prior)
             cache = _ScoreCache(gp, cp if cfg.use_cost else None, state, enc)
         else:  # fold in the step evaluated last iteration
             try:

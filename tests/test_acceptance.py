@@ -28,7 +28,7 @@ from graybo.core import (
     query_epoch,
     sample_pipeline,
 )
-from graybo.costmodel import CostPredictor
+from graybo.costmodel import CostPredictor, log_cost_mse
 from graybo.evalkit import (
     gp_full,
     normalized_regret,
@@ -166,7 +166,7 @@ def test_criterion_1_gradient_correctness():
             cp = CostPredictor(ctx, substream(seed, "accept-cp", n_obs))
 
             def mse():
-                return cp.mse(inputs, costs)
+                return log_cost_mse(cp.raw_batch(inputs), costs)
 
             def mse_grads():
                 for p in cp.params():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graybo.benchtab import DatasetTable, GeneratorConfig, generate
+from graybo.costmodel import CostPredictor, log_cost_mse
 from graybo.metalearn import (
     FoldSplit,
     _DatasetCache,
@@ -14,6 +15,7 @@ from graybo.metalearn import (
     split_folds,
     zero_shot_rank_eval,
 )
+from graybo.neural import load_into_blocks
 from graybo.rng import substream
 from graybo.surrogate import PredictorContext
 
@@ -264,3 +266,31 @@ def test_zero_shot_deterministic(micro_md, small_space):
     a = zero_shot_rank_eval(None, held, small_space, epoch=4, probe_count=6, seed=3)
     b = zero_shot_rank_eval(None, held, small_space, epoch=4, probe_count=6, seed=3)
     assert a.correlation == b.correlation
+
+
+def test_meta_train_records_the_cost_net_validation_mse(micro_md, small_space):
+    # one cost MSE per validation NLL, on the same validation batches; the
+    # entry at the best NLL is the checkpoint's cost net on them
+    split = split_folds(micro_md.dataset_ids, k=3, seed=0)
+    result = meta_train(micro_md, split, small_space, iters=120, eval_every=20, patience=10, seed=5)
+    history = result.val_cost_mse_history
+    assert len(history) == len(result.val_nll_history) == 7
+    assert all(math.isfinite(v) and v > 0 for v in history)
+    assert len(set(history)) == len(history)  # the cost net trains between evaluations
+    n_epochs = micro_md.datasets[split.train_ids[0]].n_epochs
+    ctx = PredictorContext.from_space(small_space, micro_md.datasets[split.train_ids[0]].meta, n_epochs, 1)
+    val_rng = substream(5, "metatrain", "val-cells")
+    batches = []
+    for did in split.val_ids:
+        cache = _DatasetCache(micro_md.datasets[did], small_space, ctx)
+        pis = val_rng.integers(cache.table.n_pipelines, size=64)
+        eps = val_rng.integers(1, n_epochs + 1, size=64)
+        batches.append(cache.cell_batch(pis, eps))
+    cp = CostPredictor(ctx, substream(5, "metatrain", "cost-init"))
+
+    def val_mse():
+        return sum(log_cost_mse(cp.raw_batch(inputs), c) for inputs, _, c in batches) / len(batches)
+
+    assert history[0] == val_mse()
+    load_into_blocks(cp.params(), result.checkpoint.cost_arrays)
+    assert history[result.val_nll_history.index(result.best_val_nll)] == val_mse()

@@ -313,8 +313,9 @@ def test_fit_best_keeps_the_best_state_when_the_final_loss_is_worse():
 
 @pytest.mark.parametrize("model", [DeepKernelGP, CostPredictor])
 def test_predictor_fit_with_a_nan_weight_keeps_parameters(model, small_space, meta_features):
-    # a NaN trunk weight makes the loss non-finite: a zero-step fit returns
-    # a report and a fit with steps rolls back, both leaving the parameters
+    # a NaN trunk weight makes the loss non-finite: a zero-step GP fit
+    # returns a report, and a GP fit with steps and the cost head's solve
+    # roll back, all leaving the parameters
     ctx = PredictorContext.from_space(small_space, meta_features, 10, 1)
     h = History()
     for pid in range(3):
@@ -326,9 +327,13 @@ def test_predictor_fit_with_a_nan_weight_keeps_parameters(model, small_space, me
     net = model(ctx, substream(31, "nan-fit"))
     net.fx.trunk.layers[0].W.values[0, 0] = np.nan
     before = [p.values.copy() for p in net.params()]
-    for steps in (0, 3):
-        report = net.fit(inputs, y if model is DeepKernelGP else costs, steps=steps, lr=1e-3)
-        assert report.steps == 0 and report.rolled_back == (steps > 0)
+    if model is DeepKernelGP:
+        fits = [(lambda s=s: net.fit(inputs, y, steps=s, lr=1e-3), s > 0) for s in (0, 3)]
+    else:  # one closed-form solve for the head, with no step count
+        fits = [(lambda: net.fit(inputs, costs, net.head_vector()), True)]
+    for fit, rolls_back in fits:
+        report = fit()
+        assert report.steps == 0 and report.rolled_back == rolls_back
         assert not math.isfinite(report.final)
         for p, b in zip(net.params(), before):
             assert np.array_equal(p.values, b, equal_nan=True)

@@ -440,3 +440,37 @@ def test_cost_aware_loop_never_floor_clamps_an_observed_step(bench, small_space,
         observed_rows += int(obs.sum())
         assert np.all(predicted[obs] - observed_cum[obs] > STEP_COST_FLOOR)
     assert observed_rows > 0
+
+
+@pytest.mark.parametrize("use_meta", [False, True])
+def test_cost_aware_tune_moves_only_the_cost_head(bench, small_space, monkeypatch, use_meta):
+    # the cost extractor stays at its start value (seeded init, or the
+    # checkpoint's) through a whole run; only the head is refit
+    from graybo import optimizer
+    from graybo.costmodel import CostPredictor
+    from graybo.metalearn import MetaCheckpoint
+    from graybo.rng import substream
+    from graybo.surrogate import DeepKernelGP, PredictorContext
+
+    view = bench.view(bench.dataset_ids[0])
+    ctx = PredictorContext.from_space(small_space, view.meta, view.n_epochs, 1)
+    made = []
+
+    class Spy(CostPredictor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(optimizer, "CostPredictor", Spy)
+    checkpoint, start = None, CostPredictor(ctx, substream(0, "tune", view.dataset_id, "cost-init"))
+    if use_meta:
+        start = CostPredictor(ctx, substream(1, "meta-cp"))
+        gp = DeepKernelGP(ctx, substream(1, "meta-gp"))
+        checkpoint = MetaCheckpoint.from_predictors(gp, start, {"format": "qtmeta-1"})
+    trace = tune(view, small_space, _cfg(budget_seconds=200.0, use_meta=use_meta), checkpoint=checkpoint)
+    assert len(trace.steps) > 5
+    (cp,) = made
+    for p, p0 in zip(cp.params(), start.params()):
+        assert p.name == p0.name
+        moved = not np.array_equal(p.values, p0.values)
+        assert moved == p.name.startswith("cost.head."), p.name
