@@ -33,6 +33,7 @@ from .surrogate import (
     PredictorContext,
     PredictorInputs,
     _chol_with_jitter,
+    gram,
     kernel_matrix,
     scale_meta,
     single_thread_numpy_blas,
@@ -348,10 +349,29 @@ class _ScoreCache:
     instead of O(n^3).  Its two triangular solves read L in place from the
     first n rows of the (cap x cap) buffer (``solve_lower``) instead of
     copying an n x n block.
+
+    The appended row needs no network pass and no solve of its own: the
+    training row of an evaluation at epoch tau is, input for input, the
+    pipeline's candidate row from before it (same encodings, the curve up
+    to tau - dt, budget fraction tau / T), so its latent is ``Zc[pid]`` and
+    ``L^-1 k(Ztr, z)`` is the pipeline's column ``V[:n, pid]``, which every
+    rank-1 step since it was computed has extended.  Only the refreshed
+    candidate (curve now up to tau) takes a forward pass and a solve.  That
+    holds only while the cache is exactly one run-state row behind, which
+    ``apply_evaluation`` checks.
+
+    A rebuild handed the cache it replaces (``reuse``) keeps its factor,
+    ``V``, ``w`` and ``Ztr`` buffers when they hold n rows, and builds the
+    training Gram in the factor buffer's leading square (``gram``).
     """
 
     def __init__(
-        self, gp: DeepKernelGP, cp: CostPredictor | None, state: _RunState, enc: _Encodings
+        self,
+        gp: DeepKernelGP,
+        cp: CostPredictor | None,
+        state: _RunState,
+        enc: _Encodings,
+        reuse: "_ScoreCache | None" = None,
     ) -> None:
         self.gp = gp
         self.cp = cp
@@ -359,22 +379,23 @@ class _ScoreCache:
         n_pipe = enc.hp.shape[0]
         inputs, y, _ = state.train_inputs(enc, None)
         n = len(y)
-        self.Ztr = np.empty((max(64, 2 * n), LATENT), order="C")
+        if reuse is not None and reuse.L.shape[0] >= n:
+            self.Ztr, self.L, self.w, self.V = reuse.Ztr, reuse.L, reuse.w, reuse.V
+        else:
+            cap = max(64, 2 * n)
+            self.Ztr = np.empty((cap, LATENT))
+            self.L = np.zeros((cap, cap))
+            self.w = np.empty(cap)
+            self.V = np.empty((cap, n_pipe))
         self.Ztr[:n] = gp.features_batch(inputs)
         cand_inputs = state.candidate_arrays(enc, np.arange(n_pipe))
         self.Zc = gp.features_batch(cand_inputs)
         noise = gp.kernel.noise_var
-        A = kernel_matrix(self.Ztr[:n], self.Ztr[:n], gp.kernel) + noise * np.eye(n)
-        L, jitter = _chol_with_jitter(A)
+        L, jitter = _chol_with_jitter(gram(self.Ztr[:n], gp.kernel, noise, out=self.L))
         self.diag = gp.kernel.signal_var + noise + jitter
-        self.L = np.zeros((self.Ztr.shape[0], self.Ztr.shape[0]))
         self.L[:n, :n] = L
-        y_norm = gp.normalize(y)
-        self.w = np.empty(self.Ztr.shape[0])
-        self.w[:n] = solve_lower(L, y_norm)
-        Ks = kernel_matrix(self.Ztr[:n], self.Zc, gp.kernel)
-        self.V = np.empty((self.Ztr.shape[0], n_pipe))
-        self.V[:n] = solve_lower(L, Ks)
+        self.w[:n] = solve_lower(L, gp.normalize(y))
+        self.V[:n] = solve_lower(L, kernel_matrix(self.Ztr[:n], self.Zc, gp.kernel))
         self.colnorm2 = (self.V[:n] ** 2).sum(axis=0)
         self.n = n
         self.cost_pred = cp.predict_batch(cand_inputs) if cp is not None else None
@@ -397,33 +418,43 @@ class _ScoreCache:
 
     def apply_evaluation(self, state: _RunState) -> None:
         """Fold in the run-state's last row: one new training row plus its
-        pipeline's refreshed candidate column."""
+        pipeline's refreshed candidate column.
+
+        Raises ``RuntimeError`` unless the cache holds every row but that
+        last one, ``ValueError`` on a non-finite refreshed latent and
+        ``_NeedsRebuild`` on a pivot too small to extend the factor; all
+        three before anything is written.
+        """
+        if state.n_rows != self.n + 1:
+            raise RuntimeError(
+                f"score cache holds {self.n} rows, the run state {state.n_rows}: "
+                "a rank-1 step folds in exactly one"
+            )
         gp = self.gp
-        pid = int(state.rows[0, state.n_rows - 1])
-        if self.n == self.Ztr.shape[0]:
-            self._grow()
+        pid, _, loss, _ = state.rows[:, state.n_rows - 1]
+        pid = int(pid)
+        cand = state.candidate_arrays(self.enc, [pid])
+        zc = gp.features_batch(cand)[0]
+        if not np.isfinite(zc).all():
+            raise ValueError("refreshed candidate latent must not contain infs or NaNs")
         n = self.n
-        row, y, _ = state.train_inputs(self.enc, 1)
-        z_new = gp.features_batch(row)[0]
-        b = kernel_matrix(self.Ztr[:n], z_new[None, :], gp.kernel)[:, 0]
-        wvec = solve_lower(self.L[:n], b)
+        wvec = self.V[:n, pid].copy()  # L^-1 k(Ztr, z) of the new row
         d2 = self.diag - float(wvec @ wvec)
         if not d2 > 1e-10:  # NaN too: never write a NaN pivot into L
             raise _NeedsRebuild
+        if n == self.Ztr.shape[0]:
+            self._grow()
         d = math.sqrt(d2)
+        self.Ztr[n] = self.Zc[pid]
         self.L[n, :n] = wvec
         self.L[n, n] = d
-        self.Ztr[n] = z_new
-        y_norm = (y[0] - gp.y_mean) / gp.y_std
-        self.w[n] = (y_norm - float(wvec @ self.w[:n])) / d
-        ks_row = kernel_matrix(z_new[None, :], self.Zc, gp.kernel)[0]
+        self.w[n] = ((loss - gp.y_mean) / gp.y_std - float(wvec @ self.w[:n])) / d
+        ks_row = kernel_matrix(self.Ztr[n : n + 1], self.Zc, gp.kernel)[0]
         v_row = (ks_row - wvec @ self.V[:n]) / d
         self.V[n] = v_row
         self.colnorm2 += v_row**2
         self.n = n + 1
         # refreshed candidate column for the evaluated pipeline
-        cand = state.candidate_arrays(self.enc, [pid])
-        zc = gp.features_batch(cand)[0]
         self.Zc[pid] = zc
         ks_col = kernel_matrix(self.Ztr[: self.n], zc[None, :], gp.kernel)[:, 0]
         col = solve_lower(self.L[: self.n], ks_col)
@@ -509,12 +540,12 @@ def tune(
             gp.fit(inputs, y, steps=cfg.fit_steps, lr=cfg.lr)
             if cfg.use_cost:
                 cp.fit(inputs, costs, cost_prior)
-            cache = _ScoreCache(gp, cp if cfg.use_cost else None, state, enc)
+            cache = _ScoreCache(gp, cp if cfg.use_cost else None, state, enc, reuse=cache)
         else:  # fold in the step evaluated last iteration
             try:
                 cache.apply_evaluation(state)
             except _NeedsRebuild:
-                cache = _ScoreCache(gp, cp if cfg.use_cost else None, state, enc)
+                cache = _ScoreCache(gp, cp if cfg.use_cost else None, state, enc, reuse=cache)
         pool = state.candidate_pool()
         if not pool:
             exhausted = True

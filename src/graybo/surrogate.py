@@ -132,6 +132,7 @@ SQRT5 = math.sqrt(5.0)
 NOISE_FLOOR = 1e-8
 JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 LATENT_WIDTH = 32
+GRAM_BLOCK = 32  # rows per elementwise pass of ``gram``
 MODEL_EMBED_WIDTH = 4
 CURVE_EMBED_WIDTH = 8
 HIDDEN_WIDTHS = (32, 32)
@@ -273,28 +274,66 @@ class KernelParams:
         return float(np.exp(self.log_nv.values)) + NOISE_FLOOR
 
 
+def _sqdist(s1: np.ndarray, s2: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Squared distances from squared norms and the Gram ``G = Z1 Z2^T``."""
+    return np.maximum(s1[:, None] + s2[None, :] - 2.0 * G, 0.0)
+
+
 def _pairwise_sqdist(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    s1 = (Z1 * Z1).sum(axis=1)[:, None]
-    s2 = (Z2 * Z2).sum(axis=1)[None, :]
-    return np.maximum(s1 + s2 - 2.0 * (Z1 @ Z2.T), 0.0)
+    return _sqdist((Z1 * Z1).sum(axis=1), (Z2 * Z2).sum(axis=1), Z1 @ Z2.T)
+
+
+def _matern52(sqdist: np.ndarray, kernel: KernelParams, out: np.ndarray | None = None) -> np.ndarray:
+    u = SQRT5 * np.sqrt(sqdist) / kernel.lengthscale
+    return np.multiply(kernel.signal_var * (1.0 + u + u * u / 3.0), np.exp(-u), out=out)
 
 
 def kernel_matrix(Z1: np.ndarray, Z2: np.ndarray, kernel: KernelParams) -> np.ndarray:
-    r = np.sqrt(_pairwise_sqdist(Z1, Z2))
-    u = SQRT5 * r / kernel.lengthscale
-    return kernel.signal_var * (1.0 + u + u * u / 3.0) * np.exp(-u)
+    return _matern52(_pairwise_sqdist(Z1, Z2), kernel)
+
+
+def gram(Z: np.ndarray, kernel: KernelParams, noise: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``K(Z, Z) + noise * I``, bit-identical to ``kernel_matrix(Z, Z, kernel)
+    + noise * np.eye(n)``, written into the leading n x n square of ``out``
+    (a new array by default) and returned as that view.
+
+    The symmetric product ``Z Z^T`` is one BLAS call, as in
+    ``kernel_matrix``; the elementwise passes then run over ``GRAM_BLOCK``
+    rows at a time, so their temporaries stay in cache, and the noise is
+    added on the diagonal only (off it ``k + 0.0 == k``, as kernel values
+    are >= +0.0).  Nothing outside the square is read or written.
+    """
+    n = len(Z)
+    K = (np.empty((n, n)) if out is None else out)[:n, :n]
+    np.matmul(Z, Z.T, out=K)
+    s = (Z * Z).sum(axis=1)
+    for lo in range(0, n, GRAM_BLOCK):
+        rows = K[lo : lo + GRAM_BLOCK]
+        _matern52(_sqdist(s[lo : lo + GRAM_BLOCK], s, rows), kernel, out=rows)
+    d = np.arange(n)
+    K[d, d] += noise
+    return K
 
 
 def _chol_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A + jitter * I`` at the first jitter of
-    ``JITTER_LADDER`` that succeeds.
+    ``JITTER_LADDER`` that succeeds; ``A`` itself is never modified.
 
-    The factor is checked finite here, once, so ``solve_lower`` need not
-    scan it on every solve (a NaN in ``A`` can pass ``cholesky`` silently).
+    The first rung factors ``A`` as given (no identity is added: that would
+    change no bit of a Gram matrix, whose entries are >= +0.0); later rungs
+    add the jitter to the diagonal of a copy.  The factor is checked finite
+    here, once, so ``solve_lower`` need not scan it on every solve (a NaN in
+    ``A`` can pass ``cholesky`` silently).
     """
+    d = np.arange(A.shape[0])
     for jitter in JITTER_LADDER:
+        if jitter == 0.0:
+            B = A
+        else:
+            B = np.array(A)
+            B[d, d] += jitter
         try:
-            L = np.linalg.cholesky(A + jitter * np.eye(A.shape[0]))
+            L = np.linalg.cholesky(B)
         except np.linalg.LinAlgError:
             continue
         if not np.isfinite(L).all():
@@ -387,13 +426,12 @@ class DeepKernelGP:
         t = Z_test.shape[0]
         noise = self.kernel.noise_var
         if Z_train is None or len(Z_train) == 0:
-            cov_n = kernel_matrix(Z_test, Z_test, self.kernel) + noise * np.eye(t)
+            cov_n = gram(Z_test, self.kernel, noise)
             mean = np.full(t, self.y_mean)
             return Posterior(mean=mean, cov=cov_n * self.y_std**2)
         Z_train = np.atleast_2d(Z_train)
         y_n = self.normalize(y_train)
-        A = kernel_matrix(Z_train, Z_train, self.kernel) + noise * np.eye(len(Z_train))
-        L, _ = _chol_with_jitter(A)
+        L, _ = _chol_with_jitter(gram(Z_train, self.kernel, noise))
         Ks = kernel_matrix(Z_train, Z_test, self.kernel)
         Kss = kernel_matrix(Z_test, Z_test, self.kernel)
         V = solve_lower(L, Ks)
@@ -414,7 +452,7 @@ class DeepKernelGP:
         n = len(y_n)
         if not np.all(np.isfinite(Z_train)):
             return math.inf
-        A = kernel_matrix(Z_train, Z_train, self.kernel) + self.kernel.noise_var * np.eye(n)
+        A = gram(Z_train, self.kernel, self.kernel.noise_var)
         if not np.all(np.isfinite(A)):
             return math.inf
         L, _ = _chol_with_jitter(A)
@@ -439,7 +477,9 @@ class DeepKernelGP:
         u = SQRT5 * r / ls
         e = np.exp(-u)
         K = sv * (1.0 + u + u * u / 3.0) * e
-        A = K + noise * np.eye(n)
+        A = K.copy()  # K stays for the gradients
+        d = np.arange(n)
+        A[d, d] += noise
         if not np.all(np.isfinite(A)):
             return math.inf
         L, _ = _chol_with_jitter(A)

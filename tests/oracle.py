@@ -6,13 +6,14 @@ evaluation at a time.  The functions here recompute the same quantities
 from a ``History`` alone, by the definitions, so tests can check the
 incremental path against them.  The finite-difference gradient oracle,
 the scalar expected improvement, the one-query latent vector, the
-``np.where`` form of softplus and the per-cell meta-train batch live here
-too.
+``np.where`` form of softplus, the per-cell meta-train batch and the
+score cache's rank-1 step computed from scratch live here too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -22,8 +23,15 @@ from graybo.benchtab import DatasetTable
 from graybo.core import EncodedPipeline, History, SearchSpace, encode, incumbent_loss
 from graybo.costmodel import CostPredictor
 from graybo.neural import ParamBlock
-from graybo.optimizer import _Encodings, _RunState
-from graybo.surrogate import DeepKernelGP, PredictorContext, PredictorInputs, assemble_inputs
+from graybo.optimizer import _Encodings, _NeedsRebuild, _RunState, _ScoreCache
+from graybo.surrogate import (
+    DeepKernelGP,
+    PredictorContext,
+    PredictorInputs,
+    assemble_inputs,
+    kernel_matrix,
+    solve_lower,
+)
 
 
 def build_curve(n_epochs: int, observed: Sequence[tuple[int, float]]) -> np.ndarray:
@@ -128,6 +136,45 @@ def replay(
     for o in h:
         state.record(o.pipeline_id, o.epoch, o.val_loss, o.cum_cost)
     return state, _Encodings.of(ctx, [encodings[p] for p in range(n)])
+
+
+def recompute_rank1(cache: _ScoreCache, state: _RunState) -> None:
+    """``_ScoreCache.apply_evaluation`` with the new training row computed
+    from scratch: its latent from a one-row forward pass of its training
+    inputs (``train_inputs``), its solve from an n x 1 kernel column,
+    instead of the pre-evaluation candidate row's latent and column."""
+    gp = cache.gp
+    pid = int(state.rows[0, state.n_rows - 1])
+    if cache.n == cache.Ztr.shape[0]:
+        cache._grow()
+    n = cache.n
+    row, y, _ = state.train_inputs(cache.enc, 1)
+    z_new = gp.features_batch(row)[0]
+    b = kernel_matrix(cache.Ztr[:n], z_new[None, :], gp.kernel)[:, 0]
+    wvec = solve_lower(cache.L[:n], b)
+    d2 = cache.diag - float(wvec @ wvec)
+    if not d2 > 1e-10:
+        raise _NeedsRebuild
+    d = math.sqrt(d2)
+    cache.L[n, :n] = wvec
+    cache.L[n, n] = d
+    cache.Ztr[n] = z_new
+    y_norm = (y[0] - gp.y_mean) / gp.y_std
+    cache.w[n] = (y_norm - float(wvec @ cache.w[:n])) / d
+    ks_row = kernel_matrix(z_new[None, :], cache.Zc, gp.kernel)[0]
+    v_row = (ks_row - wvec @ cache.V[:n]) / d
+    cache.V[n] = v_row
+    cache.colnorm2 += v_row**2
+    cache.n = n + 1
+    cand = state.candidate_arrays(cache.enc, [pid])
+    zc = gp.features_batch(cand)[0]
+    cache.Zc[pid] = zc
+    ks_col = kernel_matrix(cache.Ztr[: cache.n], zc[None, :], gp.kernel)[:, 0]
+    col = solve_lower(cache.L[: cache.n], ks_col)
+    cache.V[: cache.n, pid] = col
+    cache.colnorm2[pid] = float(col @ col)
+    if cache.cp is not None:
+        cache.cost_pred[pid] = cache.cp.predict_batch(cand)[0]
 
 
 def expected_improvement(mu: float, sigma: float, incumbent: float) -> float:

@@ -419,6 +419,154 @@ def test_rank1_update_rejects_a_nan_latent(bench, small_space, monkeypatch):
     assert np.isfinite(f.cache.L).all()
 
 
+def test_rank1_update_rejects_a_cache_two_rows_behind(bench, small_space):
+    # the appended row's latent and solve are read from the evaluated
+    # pipeline's candidate row, which is right only one row behind
+    f = _cache_fixture(bench, small_space)
+    f.observe(3)
+    f.observe(4)
+    before = f.cache.L.copy()
+    with pytest.raises(RuntimeError):
+        f.cache.apply_evaluation(f.state)
+    assert f.cache.n == 3
+    assert np.array_equal(f.cache.L, before)
+
+
+def _round_robin(f, rounds):
+    """Each unfinished pipeline's next epoch, ``rounds`` times over."""
+    for _ in range(rounds):
+        for pid in range(f.view.n_pipelines):
+            if f.state.cand_tau[pid] <= f.view.n_epochs:
+                yield pid
+
+
+def test_rank1_step_matches_the_recompute_reference(tiny_bench, small_space):
+    # reading the new row from the candidate's latent and column agrees with
+    # computing it from its training inputs, over 100+ steps and a _grow
+    from oracle import recompute_rank1
+
+    from graybo.optimizer import _ScoreCache
+
+    f = _cache_fixture(tiny_bench, small_space)
+    cache, state = f.cache, f.state
+    ref = _ScoreCache(f.gp, f.cp, state, f.enc)
+    steps = 0
+    for pid in _round_robin(f, 9):
+        f.observe(pid)
+        cache.apply_evaluation(state)
+        recompute_rank1(ref, state)
+        n = cache.n
+        assert n == ref.n == state.n_rows
+        assert np.allclose(cache.Ztr[n - 1], ref.Ztr[n - 1], rtol=0.0, atol=1e-12)
+        assert np.allclose(cache.L[n - 1, :n], ref.L[n - 1, :n], rtol=0.0, atol=1e-12)
+        assert np.allclose(cache.w[:n], ref.w[:n], rtol=0.0, atol=1e-12)
+        assert np.allclose(cache.V[:n], ref.V[:n], rtol=0.0, atol=1e-12)
+        assert np.allclose(cache.colnorm2, ref.colnorm2, rtol=0.0, atol=1e-12)
+        assert np.array_equal(cache.Zc, ref.Zc)
+        steps += 1
+    assert steps >= 100
+    assert cache.L.shape[0] > 64
+
+
+def test_tune_gives_the_same_trace_with_the_recompute_rank1_step(tiny_bench, small_space, monkeypatch):
+    # tune_long-shaped settings: rare refits, so most steps are rank-1 steps
+    from oracle import recompute_rank1
+
+    from graybo import optimizer
+
+    view = tiny_bench.view(tiny_bench.dataset_ids[0])
+    cfg = TuneConfig(budget_seconds=1e9, fit_steps=10, fit_window=96, refit_period=25, seed=3)
+    trace = tune(view, small_space, cfg)
+    calls = []
+
+    def reference(cache, state):
+        calls.append(state.n_rows)
+        recompute_rank1(cache, state)
+
+    monkeypatch.setattr(optimizer._ScoreCache, "apply_evaluation", reference)
+    assert tune(view, small_space, cfg).to_json() == trace.to_json()
+    assert len(calls) > 50
+
+
+def test_rebuild_reusing_grown_buffers_matches_fresh_buffers(tiny_bench, small_space):
+    from graybo.optimizer import _ScoreCache
+
+    f = _cache_fixture(tiny_bench, small_space)
+    cache = f.cache
+    for pid in _round_robin(f, 6):
+        f.observe(pid)
+        cache.apply_evaluation(f.state)
+    assert cache.L.shape[0] > 64  # grown
+    L_buffer = cache.L
+    reused = _ScoreCache(f.gp, f.cp, f.state, f.enc, reuse=cache)
+    fresh = _ScoreCache(f.gp, f.cp, f.state, f.enc)
+    assert reused.L is L_buffer and fresh.L is not L_buffer
+    pool = np.arange(f.view.n_pipelines)
+    for a, b in zip(reused.moments(pool), fresh.moments(pool)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(reused.costs(pool), fresh.costs(pool))
+    n = fresh.n
+    assert np.array_equal(reused.L[:n, :n], fresh.L[:n, :n])
+
+
+def _synthetic_run(space, meta, n_pipelines, n_epochs, n_rows):
+    """A run state over random pipeline encodings with ``n_rows`` rows
+    recorded round-robin, and a GP at its initial parameters."""
+    from graybo.optimizer import _Encodings
+    from graybo.rng import substream
+    from graybo.surrogate import DeepKernelGP, PredictorContext, scale_meta
+
+    ctx = PredictorContext.from_space(space, meta, n_epochs, 1)
+    rng = substream(5, "synthetic-run")
+    enc = _Encodings(
+        rng.uniform(size=(n_pipelines, ctx.hp_width)),
+        np.eye(ctx.n_models)[rng.integers(ctx.n_models, size=n_pipelines)],
+        np.broadcast_to(scale_meta(meta), (n_pipelines, 4)),
+    )
+    state = _RunState(n_pipelines, n_epochs, 1)
+
+    def record(i):
+        pid, epoch = i % n_pipelines, i // n_pipelines + 1
+        state.record(pid, epoch, float(rng.uniform()), float(epoch * (1 + pid)))
+
+    for i in range(n_rows):
+        record(i)
+    return state, enc, DeepKernelGP(ctx, substream(5, "synthetic-gp")), record
+
+
+def _peak_bytes(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_rank1_step_and_rebuild_allocate_no_square_buffer(small_space, meta_features):
+    from graybo.optimizer import _ScoreCache
+
+    n0 = 600
+    state, enc, gp, record = _synthetic_run(small_space, meta_features, 80, 10, n0)
+    cache = _ScoreCache(gp, None, state, enc)
+    cap = cache.L.shape[0]
+    assert cap == 2 * n0
+    for i in range(n0, n0 + 2):  # the first step is the warm-up
+        record(i)
+        peak = _peak_bytes(lambda: cache.apply_evaluation(state))
+    n = cache.n
+    assert peak < n * n * 8 / 4  # O(n) work: no n x n array
+    for i in range(n, n + 5):
+        record(i)
+    _ScoreCache(gp, None, state, enc, reuse=cache)  # warm-up
+    box = []
+    peak = _peak_bytes(lambda: box.append(_ScoreCache(gp, None, state, enc, reuse=cache)))
+    assert box[0].L is cache.L
+    assert peak < cap * cap * 8  # the factor buffer is reused, not reallocated
+
+
 def test_cost_aware_loop_never_floor_clamps_an_observed_step(bench, small_space, monkeypatch):
     # every table cost is positive, so an already-observed candidate's step
     # is too: its acquisition denominator must stay above STEP_COST_FLOOR

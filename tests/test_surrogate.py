@@ -24,6 +24,7 @@ from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.optimizer import TuneConfig, tune
 from graybo.rng import substream
 from graybo.surrogate import (
+    GRAM_BLOCK,
     JITTER_LADDER,
     DeepKernelGP,
     KernelParams,
@@ -31,6 +32,7 @@ from graybo.surrogate import (
     SingularKernelError,
     _chol_with_jitter,
     bundled_openblas_threads,
+    gram,
     kernel_matrix,
     single_thread_numpy_blas,
     single_thread_scipy_blas,
@@ -137,13 +139,46 @@ def test_kernel_matrix_symmetric():
     assert np.abs(K - K.T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 3 * GRAM_BLOCK + 5])
+@pytest.mark.parametrize("scale", [0.05, 1.0])
+def test_gram_is_byte_identical_to_kernel_matrix_plus_noise(n, scale):
+    rng = substream(n, "gram")
+    k = KernelParams(log_lengthscale=0.4, log_signal_var=-0.3, log_noise_var=-2.5)
+    Z = rng.standard_normal((n, 32)) * scale
+    expected = (kernel_matrix(Z, Z, k) + k.noise_var * np.eye(n)).tobytes()
+    assert gram(Z, k, k.noise_var).tobytes() == expected
+    # into the leading square of a larger buffer holding stale values; the
+    # rest of the buffer is left as it was
+    buf = rng.standard_normal((2 * n + 3, 2 * n + 3))
+    stale = buf.copy()
+    K = gram(Z, k, k.noise_var, out=buf)
+    assert np.shares_memory(K, buf)
+    assert np.ascontiguousarray(K).tobytes() == expected
+    buf[:n, :n] = stale[:n, :n]
+    assert np.array_equal(buf, stale)
+
+
 def test_chol_jitter_ladder_escalates():
-    # rank-deficient matrix: plain cholesky fails, jitter succeeds
+    # rank-deficient matrix: plain cholesky fails, jitter succeeds, and the
+    # caller's matrix is left as it was
     A = np.ones((4, 4))
     L, jitter = _chol_with_jitter(A)
     assert jitter in JITTER_LADDER and jitter > 0.0
+    assert np.array_equal(A, np.ones((4, 4)))
+    assert np.array_equal(L, np.linalg.cholesky(A + jitter * np.eye(4)))
     with pytest.raises(SingularKernelError):
         _chol_with_jitter(-np.eye(3))
+
+
+def test_chol_at_zero_jitter_is_plain_cholesky():
+    rng = substream(8, "chol")
+    X = rng.standard_normal((40, 45))
+    A = X @ X.T + 0.1 * np.eye(40)
+    before = A.copy()
+    L, jitter = _chol_with_jitter(A)
+    assert jitter == 0.0
+    assert L.tobytes() == np.linalg.cholesky(A).tobytes()
+    assert np.array_equal(A, before)
 
 
 # ---------------------------------------------------------------------------
