@@ -77,7 +77,7 @@ class CostPredictor:
         """
         if inputs.observed_cost is None:
             return np.expm1(np.maximum(self.raw_batch(inputs), 0.0))
-        prev = np.rint(inputs.tfrac * self.ctx.n_epochs) - self.ctx.dt
+        prev = inputs.epoch - self.ctx.dt
         seen = prev > 0
         if seen.all():  # no row needs the network
             pred = np.empty(len(inputs))

@@ -11,7 +11,7 @@ same evaluations but selects nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,11 +31,10 @@ from .neural import (
 from .rng import substream
 from .surrogate import (
     DeepKernelGP,
+    Encodings,
     PredictorContext,
     PredictorInputs,
     SingularKernelError,
-    assemble_inputs,
-    scale_meta,
 )
 
 MAX_CONSECUTIVE_SKIPS = 50
@@ -134,9 +133,7 @@ class MetaCheckpoint:
         load_into_blocks(cp.params(), self.cost_arrays)
 
     def to_payload(self) -> dict:
-        blocks = [_NamedArray(n, a) for n, a in self.surrogate_arrays.items()]
-        blocks += [_NamedArray(n, a) for n, a in self.cost_arrays.items()]
-        payload = blocks_to_payload(blocks)
+        payload = blocks_to_payload({**self.surrogate_arrays, **self.cost_arrays})
         payload["kernel"] = self.kernel
         payload["manifest"] = self.manifest
         return payload
@@ -168,18 +165,6 @@ class MetaCheckpoint:
         return cls.from_payload(load_checkpoint(path))
 
 
-class _NamedArray:
-    """Adapter giving raw arrays the ParamBlock interface for serialization."""
-
-    def __init__(self, name: str, values: np.ndarray) -> None:
-        self.name = name
-        self.values = values
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
 # ---------------------------------------------------------------------------
 # Meta-training
 
@@ -200,16 +185,13 @@ class MetaTrainResult:
 
 
 class _DatasetCache:
-    """Per-dataset network inputs, stacked once, and target normalization."""
+    """One meta-dataset's encodings, gathered into batches by
+    ``surrogate.Encodings.inputs``, and its target normalization."""
 
     def __init__(self, table: DatasetTable, space: SearchSpace, ctx_proto: PredictorContext) -> None:
         self.table = table
-        self.n_epochs = ctx_proto.n_epochs
-        self.dt = ctx_proto.dt
-        features = np.stack([encode(p, space).features for p in table.pipelines])
-        self.hp = features[:, : ctx_proto.hp_width]
-        self.onehot = features[:, ctx_proto.hp_width :]
-        self.meta_row = scale_meta(table.meta)
+        ctx = replace(ctx_proto, meta=table.meta)
+        self.enc = Encodings.of(ctx, [encode(p, space) for p in table.pipelines])
         std = float(table.losses.std())
         self.y_mean = float(table.losses.mean())
         self.y_std = std if std > 0 else 1.0
@@ -218,20 +200,10 @@ class _DatasetCache:
         """Inputs, loss targets, and cost targets for (pipeline, epoch) cells.
 
         The curve input is the pipeline's true losses at epochs 1 .. epoch
-        - dt (none when epoch <= dt), zero-padded; built for all cells at
-        once (``tests/oracle.py`` keeps the per-cell form)."""
-        losses = self.table.losses[pis]
-        prefix = np.maximum(eps - self.dt, 0)
-        inputs = PredictorInputs(
-            hp=self.hp[pis],
-            model_onehot=self.onehot[pis],
-            curves=np.where(np.arange(losses.shape[1]) < prefix[:, None], losses, 0.0),
-            tfrac=np.asarray(eps, dtype=np.float64) / self.n_epochs,
-            meta=np.tile(self.meta_row, (len(pis), 1)),
-        )
-        y = self.table.losses[pis, eps - 1]
-        c = self.table.costs[pis, eps - 1]
-        return inputs, y, c
+        - dt (none when epoch <= dt), zero-padded (``tests/oracle.py``
+        keeps the per-cell form)."""
+        inputs = self.enc.inputs(pis, eps, self.table.losses[pis])
+        return inputs, self.table.losses[pis, eps - 1], self.table.costs[pis, eps - 1]
 
 
 def meta_train(
@@ -404,31 +376,20 @@ def zero_shot_rank_eval(
     rng = substream(seed, "zeroshot", table.dataset_id, "probes")
     n_pipe = table.n_pipelines
     n_probe = min(probe_count, max(n_pipe - 2, 1))
-    probe_ids = sorted(int(i) for i in rng.choice(n_pipe, size=n_probe, replace=False))
-    probe_set = set(probe_ids)
+    probe_ids = np.sort(rng.choice(n_pipe, size=n_probe, replace=False))
 
-    encodings = [encode(p, space) for p in table.pipelines]
-    encs, curves, epochs_in, targets = [], [], [], []
-    for pid in probe_ids:
-        for t in range(dt, min(probe_epochs * dt, n_ep) + 1, dt):
-            encs.append(encodings[pid])
-            curve = np.zeros(n_ep)
-            curve[: t - dt] = table.losses[pid, : t - dt]
-            curves.append(curve)
-            epochs_in.append(t)
-            targets.append(float(table.losses[pid, t - 1]))
-    cond_inputs = assemble_inputs(ctx, encs, curves, epochs_in)
-    y_cond = np.array(targets)
+    enc = Encodings.of(ctx, [encode(p, space) for p in table.pipelines])
+    taus = np.arange(dt, min(probe_epochs * dt, n_ep) + 1, dt)
+    pids = np.repeat(probe_ids, len(taus))
+    epochs_in = np.tile(taus, len(probe_ids))
+    cond_inputs = enc.inputs(pids, epochs_in, table.losses[pids])
+    y_cond = table.losses[pids, epochs_in - 1]
     gp.set_normalization(y_cond)
     Z_train = gp.features_batch(cond_inputs)
 
-    test_ids = [pid for pid in range(n_pipe) if pid not in probe_set]
-    test_inputs = assemble_inputs(
-        ctx,
-        [encodings[pid] for pid in test_ids],
-        [np.zeros(n_ep) for _ in test_ids],
-        [epoch] * len(test_ids),
-    )
+    test_ids = np.setdiff1d(np.arange(n_pipe), probe_ids)
+    n_test = len(test_ids)
+    test_inputs = enc.inputs(test_ids, np.full(n_test, epoch), np.zeros((n_test, n_ep)))
     Z_test = gp.features_batch(test_inputs)
     post = gp.posterior(Z_train, y_cond, Z_test)
     truth = table.losses[test_ids, epoch - 1]

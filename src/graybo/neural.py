@@ -13,7 +13,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -379,18 +379,19 @@ def fit_best(
 # Parameter checkpoint ("qtck-1"): versioned JSON of base64 float64 blocks.
 
 
-def blocks_to_payload(blocks: Sequence[ParamBlock]) -> dict:
+def blocks_to_payload(arrays: Mapping[str, np.ndarray]) -> dict:
+    """The "qtck-1" payload of named arrays, in the mapping's order."""
     return {
         "format": "qtck-1",
         "blocks": [
             {
-                "name": b.name,
-                "shape": list(b.shape),
+                "name": name,
+                "shape": list(values.shape),
                 "values_b64_f64le": base64.b64encode(
-                    b.values.astype("<f8").tobytes()
+                    values.astype("<f8").tobytes()
                 ).decode("ascii"),
             }
-            for b in blocks
+            for name, values in arrays.items()
         ],
     }
 
@@ -408,16 +409,15 @@ def payload_to_arrays(payload: dict) -> dict[str, np.ndarray]:
     return out
 
 
-def load_into_blocks(blocks: Sequence[ParamBlock], arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-    """Copy checkpoint arrays into live blocks, matching ``prefix + name``."""
+def load_into_blocks(blocks: Sequence[ParamBlock], arrays: dict[str, np.ndarray]) -> None:
+    """Copy checkpoint arrays into live blocks, matched by name."""
     for b in blocks:
-        key = prefix + b.name
-        if key not in arrays:
-            raise CheckpointFormatError(f"checkpoint missing block {key!r}")
-        arr = arrays[key]
+        if b.name not in arrays:
+            raise CheckpointFormatError(f"checkpoint missing block {b.name!r}")
+        arr = arrays[b.name]
         if tuple(arr.shape) != b.shape:
             raise CheckpointFormatError(
-                f"block {key!r}: shape {tuple(arr.shape)} != expected {b.shape}"
+                f"block {b.name!r}: shape {tuple(arr.shape)} != expected {b.shape}"
             )
         b.values[...] = arr
 

@@ -18,24 +18,24 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from .acquisition import argmax_lowest_id, ei_scores, subsample_pool
 from .benchtab import BenchmarkQueryError, DatasetView
-from .core import EncodedPipeline, HistoryOrderError, SearchSpace, encode
+from .core import HistoryOrderError, SearchSpace, encode
 from .costmodel import CostPredictor
 from .rng import substream
 from .surrogate import (
     LATENT_WIDTH as LATENT,
     DeepKernelGP,
+    Encodings,
     PredictorContext,
     PredictorInputs,
     _chol_with_jitter,
     gram,
     kernel_matrix,
-    scale_meta,
     single_thread_numpy_blas,
     solve_lower,
 )
@@ -223,23 +223,6 @@ class TraceRecorder:
         return self.trace
 
 
-@dataclass(frozen=True)
-class _Encodings:
-    """Per-pipeline input blocks the predictors' inputs are gathered from:
-    hyperparameters, model one-hot and the scaled meta-features (the same
-    row for every pipeline)."""
-
-    hp: np.ndarray
-    onehot: np.ndarray
-    meta: np.ndarray
-
-    @classmethod
-    def of(cls, ctx: PredictorContext, encodings: Sequence[EncodedPipeline]) -> "_Encodings":
-        feats = np.stack([e.features for e in encodings])
-        meta = np.broadcast_to(scale_meta(ctx.meta), (len(feats), 4))
-        return cls(feats[:, : ctx.hp_width], feats[:, ctx.hp_width :], meta)
-
-
 class _RunState:
     """The one record of a run's observations, for ``tune`` and the baselines.
 
@@ -247,8 +230,10 @@ class _RunState:
     cumulative cost), stored column-wise so a field of a run of rows is one
     contiguous slice.  Per pipeline, ``cand_tau`` is the next epoch to
     query, ``cand_last_cum`` the cumulative cost so far and ``cand_curves``
-    the observed losses by epoch.  Predictor inputs are gathered on demand:
-    a row's curve input is its pipeline's losses at earlier epochs.
+    the observed losses by epoch.  Predictor inputs are gathered on demand
+    by ``surrogate.Encodings.inputs`` from ``cand_curves``: epochs are
+    recorded only on the dt grid, so a row at epoch tau sees exactly its
+    pipeline's losses at epochs up to tau - dt.
     """
 
     def __init__(
@@ -296,34 +281,21 @@ class _RunState:
         pid, epoch, loss = self.rows[:3, int(np.argmin(self.rows[2, : self.n_rows]))]
         return int(pid), int(epoch), float(loss)
 
-    def train_inputs(self, enc: _Encodings, window: int | None):
+    def train_inputs(self, enc: Encodings, window: int | None):
         """The last ``window`` rows (all by default) as predictor inputs,
         with their loss and cumulative-cost targets."""
         lo = 0 if window is None else max(0, self.n_rows - window)
-        pid, epoch, y, cost = self.rows[:, lo : self.n_rows]
-        pid = pid.astype(np.int64)
-        earlier = np.arange(1, self.n_epochs + 1) < epoch[:, None]
-        inputs = PredictorInputs(
-            hp=enc.hp[pid],
-            model_onehot=enc.onehot[pid],
-            curves=np.where(earlier, self.cand_curves[pid], 0.0),
-            tfrac=epoch / self.n_epochs,
-            meta=enc.meta[pid],
-        )
-        return inputs, y, cost
+        pid, epoch = self.rows[:2, lo : self.n_rows].astype(np.int64)
+        y, cost = self.rows[2:, lo : self.n_rows]
+        return enc.inputs(pid, epoch, self.cand_curves[pid]), y, cost
 
     def candidate_pool(self) -> list[int]:
         return [int(p) for p in np.nonzero(self.cand_tau <= self.n_epochs)[0]]
 
-    def candidate_arrays(self, enc: _Encodings, pool) -> PredictorInputs:
+    def candidate_arrays(self, enc: Encodings, pool) -> PredictorInputs:
         idx = np.asarray(pool, dtype=np.int64)
-        return PredictorInputs(
-            hp=enc.hp[idx],
-            model_onehot=enc.onehot[idx],
-            curves=self.cand_curves[idx],
-            tfrac=self.cand_tau[idx] / self.n_epochs,
-            meta=enc.meta[idx],
-            observed_cost=self.cand_last_cum[idx],
+        return enc.inputs(
+            idx, self.cand_tau[idx], self.cand_curves[idx], observed_cost=self.cand_last_cum[idx]
         )
 
     def incumbent_table(self) -> np.ndarray:
@@ -370,7 +342,7 @@ class _ScoreCache:
         gp: DeepKernelGP,
         cp: CostPredictor | None,
         state: _RunState,
-        enc: _Encodings,
+        enc: Encodings,
         reuse: "_ScoreCache | None" = None,
     ) -> None:
         self.gp = gp
@@ -499,7 +471,7 @@ def tune(
     n_epochs = view.n_epochs
     dt = n_epochs if cfg.full_fidelity else cfg.dt
     ctx = PredictorContext.from_space(space, view.meta, n_epochs, dt)
-    enc = _Encodings.of(ctx, [encode(view.pipeline(p), space) for p in range(view.n_pipelines)])
+    enc = Encodings.of(ctx, [encode(view.pipeline(p), space) for p in range(view.n_pipelines)])
 
     gp = DeepKernelGP(ctx, substream(cfg.seed, "tune", view.dataset_id, "surrogate-init"))
     cp = CostPredictor(ctx, substream(cfg.seed, "tune", view.dataset_id, "cost-init"))

@@ -182,7 +182,7 @@ class PredictorInputs:
     hp: np.ndarray  # (B, hp_width)
     model_onehot: np.ndarray  # (B, n_models)
     curves: np.ndarray  # (B, n_epochs)
-    tfrac: np.ndarray  # (B,)
+    epoch: np.ndarray  # (B,) int64 query epoch tau
     meta: np.ndarray  # (B, 4), already scaled
     # Candidate rows only: observed cumulative cost at epoch tau - dt (0 for
     # an unobserved pipeline).  None on training rows.
@@ -192,19 +192,43 @@ class PredictorInputs:
         return self.hp.shape[0]
 
 
-def assemble_inputs(
-    ctx: PredictorContext,
-    encodings: Sequence[EncodedPipeline],
-    curves: Sequence[np.ndarray],
-    epochs: Sequence[int],
-) -> PredictorInputs:
-    n = len(encodings)
-    hp = np.stack([e.features[: ctx.hp_width] for e in encodings]) if n else np.zeros((0, ctx.hp_width))
-    onehot = np.stack([e.features[ctx.hp_width :] for e in encodings]) if n else np.zeros((0, ctx.n_models))
-    cm = np.stack(curves) if n else np.zeros((0, ctx.n_epochs))
-    tfrac = np.asarray(epochs, dtype=np.float64) / ctx.n_epochs
-    meta = np.tile(scale_meta(ctx.meta), (n, 1))
-    return PredictorInputs(hp=hp, model_onehot=onehot, curves=cm, tfrac=tfrac, meta=meta)
+@dataclass(frozen=True)
+class Encodings:
+    """Per-pipeline blocks every predictor input is gathered from: the
+    hyperparameters (n, hp_width), the model one-hot (n, n_models) and the
+    scaled meta-features (4,), one row shared by every pipeline; ``dt`` is
+    the epoch step, which sets how much of a curve a row sees."""
+
+    hp: np.ndarray
+    onehot: np.ndarray
+    meta: np.ndarray
+    dt: int
+
+    @classmethod
+    def of(cls, ctx: PredictorContext, encodings: Sequence[EncodedPipeline]) -> "Encodings":
+        feats = np.stack([e.features for e in encodings])
+        return cls(feats[:, : ctx.hp_width], feats[:, ctx.hp_width :], scale_meta(ctx.meta), ctx.dt)
+
+    def inputs(
+        self,
+        pids: np.ndarray,
+        epochs: np.ndarray,
+        curves: np.ndarray,
+        observed_cost: np.ndarray | None = None,
+    ) -> PredictorInputs:
+        """Rows (pids[i], epochs[i]).  Row i's curve input is ``curves[i]``
+        at indices < epochs[i] - dt (the epochs up to tau - dt), zero
+        elsewhere; meta is a broadcast view of the one row."""
+        epochs = np.asarray(epochs, dtype=np.int64)
+        visible = np.arange(curves.shape[1]) < (epochs - self.dt)[:, None]
+        return PredictorInputs(
+            hp=self.hp[pids],
+            model_onehot=self.onehot[pids],
+            curves=np.where(visible, curves, 0.0),
+            epoch=epochs,
+            meta=np.broadcast_to(self.meta, (len(epochs), 4)),
+            observed_cost=observed_cost,
+        )
 
 
 class FeatureExtractor:
@@ -228,9 +252,8 @@ class FeatureExtractor:
     def forward(self, inputs: PredictorInputs, flat1: np.ndarray | None = None):
         e_model, c_model = self.model_embed.forward(inputs.model_onehot)
         e_curve, c_curve = self.curve_encoder.forward(inputs.curves, flat1=flat1)
-        x = np.concatenate(
-            [inputs.hp, inputs.tfrac[:, None], inputs.meta, e_model, e_curve], axis=1
-        )
+        tfrac = inputs.epoch[:, None] / self.ctx.n_epochs
+        x = np.concatenate([inputs.hp, tfrac, inputs.meta, e_model, e_curve], axis=1)
         z, c_trunk = self.trunk.forward(x)
         return z, (c_model, c_curve, c_trunk)
 

@@ -4,10 +4,16 @@
 inputs, the GP posterior and the cost predictions up to date one
 evaluation at a time.  The functions here recompute the same quantities
 from a ``History`` alone, by the definitions, so tests can check the
-incremental path against them.  The finite-difference gradient oracle,
-the scalar expected improvement, the one-query latent vector, the
-``np.where`` form of softplus, the per-cell meta-train batch and the
-score cache's rank-1 step computed from scratch live here too.
+incremental path against them.
+
+The program gathers every predictor input through one function,
+``surrogate.Encodings.inputs``.  The reference inputs here are stacked row
+by row instead, by ``assemble_inputs``: the training and candidate rows
+(``history_inputs``, ``candidate_inputs``), the one-query latent vector
+(``features``) and the per-cell meta-train batch (``cell_batch``).  The
+finite-difference gradient oracle, the scalar expected improvement, the
+``np.where`` form of softplus and the score cache's rank-1 step computed
+from scratch live here too.
 """
 
 from __future__ import annotations
@@ -23,15 +29,33 @@ from graybo.benchtab import DatasetTable
 from graybo.core import EncodedPipeline, History, SearchSpace, encode, incumbent_loss
 from graybo.costmodel import CostPredictor
 from graybo.neural import ParamBlock
-from graybo.optimizer import _Encodings, _NeedsRebuild, _RunState, _ScoreCache
+from graybo.optimizer import _NeedsRebuild, _RunState, _ScoreCache
 from graybo.surrogate import (
     DeepKernelGP,
+    Encodings,
     PredictorContext,
     PredictorInputs,
-    assemble_inputs,
     kernel_matrix,
+    scale_meta,
     solve_lower,
 )
+
+
+def assemble_inputs(
+    ctx: PredictorContext,
+    encodings: Sequence[EncodedPipeline],
+    curves: Sequence[np.ndarray],
+    epochs: Sequence[int],
+) -> PredictorInputs:
+    """Predictor inputs stacked row by row from each row's encoding, its
+    curve as given and its epoch, with the scaled meta row tiled."""
+    n = len(encodings)
+    hp = np.stack([e.features[: ctx.hp_width] for e in encodings]) if n else np.zeros((0, ctx.hp_width))
+    onehot = np.stack([e.features[ctx.hp_width :] for e in encodings]) if n else np.zeros((0, ctx.n_models))
+    cm = np.stack(curves) if n else np.zeros((0, ctx.n_epochs))
+    epoch = np.asarray(epochs, dtype=np.int64)
+    meta = np.tile(scale_meta(ctx.meta), (n, 1))
+    return PredictorInputs(hp=hp, model_onehot=onehot, curves=cm, epoch=epoch, meta=meta)
 
 
 def build_curve(n_epochs: int, observed: Sequence[tuple[int, float]]) -> np.ndarray:
@@ -127,7 +151,7 @@ def reference_scores(
 
 def replay(
     ctx: PredictorContext, encodings: Mapping[int, EncodedPipeline], h: History
-) -> tuple[_RunState, _Encodings]:
+) -> tuple[_RunState, Encodings]:
     """A tuning run-state that has recorded every observation of ``h``, in
     order, over the pipelines ``0 .. len(encodings) - 1``, and the encoding
     blocks its predictor inputs are gathered from."""
@@ -135,7 +159,7 @@ def replay(
     state = _RunState(n, ctx.n_epochs, ctx.dt)
     for o in h:
         state.record(o.pipeline_id, o.epoch, o.val_loss, o.cum_cost)
-    return state, _Encodings.of(ctx, [encodings[p] for p in range(n)])
+    return state, Encodings.of(ctx, [encodings[p] for p in range(n)])
 
 
 def recompute_rank1(cache: _ScoreCache, state: _RunState) -> None:

@@ -1,7 +1,8 @@
 """Source hygiene and process set-up: every module in ``src/graybo`` uses
 each name it imports, none imports ``scipy.stats`` (~0.5–0.9 s of every
-command's start-up) when it is imported, and ``import graybo`` keeps the heap
-top, so meta-training does not fault its pages back in every iteration."""
+command's start-up) when it is imported, ``import graybo`` keeps the heap
+top, so meta-training does not fault its pages back in every iteration, and
+``PredictorInputs`` is built in ``surrogate.Encodings.inputs`` only."""
 
 import ast
 import ctypes
@@ -123,3 +124,36 @@ def test_meta_train_after_import_does_not_refault_the_heap():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 3000
+
+
+def _calls_by_function(tree, callee: str):
+    """Qualified names of the functions (``Class.method`` for methods) whose
+    bodies call ``callee`` by name or attribute; "<module>" for calls at
+    module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == callee:
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_predictor_inputs_are_gathered_in_one_function():
+    # every predictor input row comes from surrogate.Encodings.inputs, so the
+    # training, candidate, meta-train and zero-shot rows follow one
+    # visibility rule; a second place that builds PredictorInputs fails here
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites |= {f"{path.stem}.{fn}" for fn in _calls_by_function(tree, "PredictorInputs")}
+    assert sites == {"surrogate.Encodings.inputs"}

@@ -59,7 +59,7 @@ def test_cell_batch_equals_per_cell_oracle(micro_md, small_space, dt):
     for p, e in batches:
         got_inputs, got_y, got_c = cache.cell_batch(p, e)
         want_inputs, want_y, want_c = oracle.cell_batch(table, small_space, ctx, p, e)
-        for field in ("hp", "model_onehot", "curves", "tfrac", "meta"):
+        for field in ("hp", "model_onehot", "curves", "epoch", "meta"):
             assert _same_bytes(getattr(got_inputs, field), getattr(want_inputs, field)), field
         assert got_inputs.observed_cost is None
         assert _same_bytes(got_y, want_y) and _same_bytes(got_c, want_c)

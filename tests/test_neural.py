@@ -345,7 +345,7 @@ def test_predictor_fit_with_a_nan_weight_keeps_parameters(model, small_space, me
 
 def test_checkpoint_round_trip_bitwise():
     net = _mlp(seed=19)
-    payload = blocks_to_payload(net.params())
+    payload = blocks_to_payload({p.name: p.values for p in net.params()})
     text = json.dumps(payload)
     arrays = payload_to_arrays(json.loads(text))
     for p in net.params():
@@ -354,7 +354,7 @@ def test_checkpoint_round_trip_bitwise():
 
 def test_checkpoint_load_into_blocks_validates_shape():
     net = _mlp(seed=20)
-    arrays = payload_to_arrays(blocks_to_payload(net.params()))
+    arrays = payload_to_arrays(blocks_to_payload({p.name: p.values for p in net.params()}))
     other = MLP("net", (6, 32, 32, 2), substream(21, "m"))
     with pytest.raises(CheckpointFormatError):
         load_into_blocks(other.params(), arrays)

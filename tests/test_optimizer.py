@@ -334,14 +334,14 @@ def _cache_fixture(bench, space):
 
     from graybo.core import Observation, encode
     from graybo.costmodel import CostPredictor
-    from graybo.optimizer import _Encodings, _RunState, _ScoreCache
+    from graybo.optimizer import _RunState, _ScoreCache
     from graybo.rng import substream
-    from graybo.surrogate import DeepKernelGP, PredictorContext
+    from graybo.surrogate import DeepKernelGP, Encodings, PredictorContext
 
     view = bench.view(bench.dataset_ids[0])
     ctx = PredictorContext.from_space(space, view.meta, view.n_epochs, 1)
     encodings = {pid: encode(view.pipeline(pid), space) for pid in range(view.n_pipelines)}
-    enc = _Encodings.of(ctx, [encodings[p] for p in range(view.n_pipelines)])
+    enc = Encodings.of(ctx, [encodings[p] for p in range(view.n_pipelines)])
     state = _RunState(view.n_pipelines, view.n_epochs, 1)
     h = History()
 
@@ -361,6 +361,54 @@ def _cache_fixture(bench, space):
         view=view, ctx=ctx, encodings=encodings, enc=enc, state=state, h=h, observe=observe,
         gp=gp, cp=cp, cache=_ScoreCache(gp, cp, state, enc),
     )
+
+
+@pytest.mark.parametrize("dt", [1, 2, 3, None], ids=["dt1", "dt2", "dt3", "full"])
+def test_run_state_inputs_equal_the_row_by_row_reference(tiny_bench, small_space, dt):
+    # the run-state gathers rows through Encodings.inputs, whose curve input
+    # is a pipeline's losses at indices < tau - dt; the History reference
+    # builds each row from the observations strictly before tau (training)
+    # or all of them (candidates).  Both must agree to the byte, also at
+    # full fidelity (dt = T) and on a window of the last rows.
+    from oracle import candidate_inputs, history_inputs, replay
+
+    from graybo.core import Observation, encode
+    from graybo.rng import substream
+    from graybo.surrogate import PredictorContext
+
+    view = tiny_bench.view(tiny_bench.dataset_ids[0])
+    dt = dt or view.n_epochs
+    ctx = PredictorContext.from_space(small_space, view.meta, view.n_epochs, dt)
+    encodings = {pid: encode(view.pipeline(pid), small_space) for pid in range(view.n_pipelines)}
+    rng = substream(8, "visibility", dt)
+    h = History()
+    for _ in range(40):
+        live = [p for p in range(view.n_pipelines) if h.max_epoch(p) + dt <= view.n_epochs]
+        if not live:
+            break
+        pid = live[int(rng.integers(len(live)))]
+        epoch = h.max_epoch(pid) + dt
+        h.append(Observation(pid, epoch, *view.query(pid, epoch)))
+    state, enc = replay(ctx, encodings, h)
+
+    def same(got, want):
+        for name in ("hp", "model_onehot", "curves", "epoch", "meta", "observed_cost"):
+            a, b = getattr(got, name), getattr(want, name)
+            if a is None or b is None:
+                assert a is None and b is None, name
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    for window in (None, 5):
+        got, y, cost = state.train_inputs(enc, window)
+        want, want_y, want_cost = history_inputs(h, encodings, ctx, window)
+        same(got, want)
+        assert y.tobytes() == want_y.tobytes() and cost.tobytes() == want_cost.tobytes()
+    pool = list(range(view.n_pipelines))
+    want, taus = candidate_inputs(pool, h, encodings, ctx)
+    same(state.candidate_arrays(enc, pool), want)
+    assert np.array_equal(state.cand_tau, taus)
 
 
 def test_score_cache_incremental_matches_rebuild(tiny_bench, small_space):
@@ -512,16 +560,16 @@ def test_rebuild_reusing_grown_buffers_matches_fresh_buffers(tiny_bench, small_s
 def _synthetic_run(space, meta, n_pipelines, n_epochs, n_rows):
     """A run state over random pipeline encodings with ``n_rows`` rows
     recorded round-robin, and a GP at its initial parameters."""
-    from graybo.optimizer import _Encodings
     from graybo.rng import substream
-    from graybo.surrogate import DeepKernelGP, PredictorContext, scale_meta
+    from graybo.surrogate import DeepKernelGP, Encodings, PredictorContext, scale_meta
 
     ctx = PredictorContext.from_space(space, meta, n_epochs, 1)
     rng = substream(5, "synthetic-run")
-    enc = _Encodings(
+    enc = Encodings(
         rng.uniform(size=(n_pipelines, ctx.hp_width)),
         np.eye(ctx.n_models)[rng.integers(ctx.n_models, size=n_pipelines)],
-        np.broadcast_to(scale_meta(meta), (n_pipelines, 4)),
+        scale_meta(meta),
+        ctx.dt,
     )
     state = _RunState(n_pipelines, n_epochs, 1)
 

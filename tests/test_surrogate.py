@@ -402,7 +402,7 @@ def test_history_inputs_uses_strictly_earlier_epochs(ctx, small_space):
     assert list(inputs.curves[0]) == [0.0] * N_EPOCHS
     assert inputs.curves[1][0] == 0.9 and inputs.curves[1][1:].sum() == 0.0
     assert inputs.curves[2][0] == 0.9 and inputs.curves[2][1] == 0.6
-    assert list(inputs.tfrac) == [0.1, 0.2, 0.3]
+    assert list(inputs.epoch) == [1, 2, 3]
     assert list(costs) == [1.0, 2.0, 3.0]
 
 
