@@ -196,6 +196,7 @@ def generate(cfg: GeneratorConfig, space: SearchSpace) -> MetaDataset:
     # directly comparable across datasets (what transfer exploits).
     pipe_rng = substream(cfg.seed, "gen", "pipelines")
     pipelines = [sample_pipeline(space, pipe_rng) for _ in range(cfg.configs_per_dataset)]
+    hps = [encode(p, space).features[:hp_width] for p in pipelines]
 
     md = MetaDataset()
     for di in range(cfg.n_datasets):
@@ -221,9 +222,7 @@ def generate(cfg: GeneratorConfig, space: SearchSpace) -> MetaDataset:
         curve_rng = substream(cfg.seed, "gen", "dataset", di, "curves")
         losses = np.empty((cfg.configs_per_dataset, n_ep))
         costs = np.empty((cfg.configs_per_dataset, n_ep))
-        for pi, p in enumerate(pipelines):
-            enc = encode(p, space)
-            hp = enc.features[:hp_width]
+        for pi, (p, hp) in enumerate(zip(pipelines, hps)):
             quality = math.exp(-float(np.sum((hp - target) ** 2)) / hp_width)
             affinity = float(_logistic(np.array(w_d[p.model_index])))
             l_inf = min(max(0.05 + 0.9 * (1.0 - quality * affinity), 0.0), 0.95)

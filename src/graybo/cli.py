@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import benchtab, evalkit, metalearn
 from .core import SearchSpace, load_space, save_space, space_from_dict
-from .optimizer import TuneConfig, tune
+from .optimizer import RunTrace, TuneConfig, tune
 from .surrogate import SingularKernelError
 
 log = logging.getLogger("graybo.cli")
@@ -365,8 +365,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .optimizer import RunTrace
-
     bench, _ = _load_bench(args.bench)
     traces = []
     if os.path.isdir(args.runs):

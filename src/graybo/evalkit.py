@@ -1,9 +1,9 @@
 """Baseline optimizers, normalized-regret and rank metrics, and CSV reports.
 
 Every baseline records its evaluations in the tuning loop's run-state
-(``optimizer._RunState.evaluate``), which prices each step and writes it
-to the trace, so simulated-second budgets mean the same thing across
-methods.
+(``optimizer._RunState``), which prices each step, charges it to the
+budget, applies the step cap (``open``) and builds the trace, so
+simulated-second budgets mean the same thing across methods.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .benchtab import DatasetView, TabularBenchmark
 from .core import SearchSpace
-from .optimizer import RunTrace, TraceRecorder, TuneConfig, _RunState, tune
+from .optimizer import RunTrace, TuneConfig, _RunState, tune
 from .rng import substream
 
 log = logging.getLogger("graybo.evalkit")
@@ -95,28 +95,19 @@ def random_search(
 ) -> RunTrace:
     """Uniformly sample a pipeline (among those with epochs left) and train
     it epoch-by-epoch to the horizon, repeating until the budget is crossed."""
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     flags = {"budget_seconds": budget_seconds, "seed": seed, "max_steps": max_steps}
-    recorder = TraceRecorder("random", view.dataset_id, seed, flags, budget_seconds)
-    state = _RunState(view.n_pipelines, view.n_epochs, 1, recorder)
+    state = _RunState(view.n_pipelines, view.n_epochs, 1, budget_seconds, max_steps)
     rng = substream(seed, "random", view.dataset_id)
     exhausted = False
-    while recorder.within_budget():
-        if max_steps is not None and state.n_rows >= max_steps:
-            break
+    while state.open():
         fresh = state.candidate_pool()
         if not fresh:
             exhausted = True
             break
         pid = fresh[int(rng.integers(len(fresh)))]
-        while state.cand_tau[pid] <= view.n_epochs:
+        while state.cand_tau[pid] <= view.n_epochs and state.open():
             state.evaluate(view, pid)
-            if not recorder.within_budget():
-                break
-            if max_steps is not None and state.n_rows >= max_steps:
-                break
-    return recorder.finish(exhausted=exhausted)
+    return state.trace("random", view.dataset_id, seed, flags, exhausted)
 
 
 def sha_rungs(n_epochs: int, eta: int, r_min: int) -> list[int]:
@@ -147,14 +138,13 @@ def successive_halving(
     if not 1 <= r_min <= view.n_epochs:
         raise ValueError(f"r_min must lie in [1, {view.n_epochs}]")
     flags = {"budget_seconds": budget_seconds, "eta": eta, "r_min": r_min, "seed": seed}
-    recorder = TraceRecorder("sha", view.dataset_id, seed, flags, budget_seconds)
-    state = _RunState(view.n_pipelines, view.n_epochs, 1, recorder)
+    state = _RunState(view.n_pipelines, view.n_epochs, 1, budget_seconds)
     rng = substream(seed, "sha", view.dataset_id)
     rungs = sha_rungs(view.n_epochs, eta, r_min)
     n0 = eta ** (len(rungs) - 1)
     exhausted = False
 
-    while recorder.within_budget():
+    while state.open():
         # training stops at the top rung, so a pipeline that has reached it
         # has nothing left to race for
         fresh = [int(p) for p in np.flatnonzero(state.cand_tau <= rungs[-1])]
@@ -168,14 +158,14 @@ def successive_halving(
             for pid in alive:
                 while state.cand_tau[pid] <= rung:
                     state.evaluate(view, pid)
-                    if not recorder.within_budget():
-                        return recorder.finish(exhausted=False)
+                    if not state.open():
+                        return state.trace("sha", view.dataset_id, seed, flags)
             if level == len(rungs) - 1:
                 break
             scores = sorted((state.cand_curves[pid, rung - 1], pid) for pid in alive)
             keep = max(1, len(alive) // eta)
             alive = sorted(pid for _, pid in scores[:keep])
-    return recorder.finish(exhausted=exhausted)
+    return state.trace("sha", view.dataset_id, seed, flags, exhausted)
 
 
 def gp_full(

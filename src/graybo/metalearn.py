@@ -265,7 +265,7 @@ def meta_train(
         total = sum(log_cost_mse(cp.raw_batch(inputs), c) for _, (inputs, _, c) in val_batches)
         return total / max(len(val_batches), 1)
 
-    def snapshot() -> tuple[MetaCheckpoint, None]:
+    def snapshot() -> MetaCheckpoint:
         manifest = {
             "seed": seed,
             "iters": iters,
@@ -273,11 +273,11 @@ def meta_train(
             "val_fold": split.val_fold,
             "format": "qtmeta-1",
         }
-        return MetaCheckpoint.from_predictors(gp, cp, manifest), None
+        return MetaCheckpoint.from_predictors(gp, cp, manifest)
 
     initial_val = val_nll()
     best_val = initial_val
-    best_ckpt, _ = snapshot()
+    best_ckpt = snapshot()
     history = [initial_val]
     cost_history = [val_cost_mse()]
     evals_since_best = 0
@@ -316,7 +316,7 @@ def meta_train(
             cost_history.append(val_cost_mse())
             if v < best_val:
                 best_val = v
-                best_ckpt, _ = snapshot()
+                best_ckpt = snapshot()
                 evals_since_best = 0
             else:
                 evals_since_best += 1

@@ -6,9 +6,11 @@ maximizing expected improvement per unit cost at its next epoch, and
 evaluate that one epoch step, until the simulated-seconds budget is
 crossed or every pipeline is fully trained.
 
-``_RunState`` is the one record of a run's observations, for this loop and
-for the baselines in ``evalkit``: it queries each step, prices it and
-writes it to the trace through ``TraceRecorder``.
+``_RunState`` is the one record of a run, for this loop and for the
+baselines in ``evalkit``: it queries each step, prices it, charges it and
+any counted decision time to the budget, answers whether the run may go on
+(``open``: within budget and under the step cap) and builds the trace from
+its rows at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -92,19 +94,11 @@ class TuneConfig:
             raise ValueError("max_steps must be >= 1")
 
     def flags(self) -> dict:
-        return {
-            "budget_seconds": self.budget_seconds,
-            "dt": self.dt,
-            "use_meta": self.use_meta,
-            "use_cost": self.use_cost,
-            "full_fidelity": self.full_fidelity,
-            "fit_steps": self.fit_steps,
-            "lr": self.lr,
-            "count_overhead": self.count_overhead,
-            "fit_window": self.fit_window,
-            "max_steps": self.max_steps,
-            "refit_period": self.refit_period,
-        }
+        """Every setting by name, in field order with the seed last (the
+        trace's key order)."""
+        flags = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"}
+        flags["seed"] = self.seed
+        return flags
 
 
 @dataclass(frozen=True)
@@ -185,78 +179,60 @@ class RunTrace:
         )
 
 
-class TraceRecorder:
-    """Shared budget accounting and trace writer: every optimizer's
-    evaluations reach it through ``_RunState.evaluate``, so simulated-seconds
-    semantics are identical across methods."""
-
-    def __init__(self, method: str, dataset: str, seed: int, flags: dict, budget: float) -> None:
-        self.budget = budget
-        self.trace = RunTrace(method=method, dataset=dataset, seed=seed, flags=flags)
-        self._cum = 0.0
-        self._incumbent = np.inf
-
-    def within_budget(self) -> bool:
-        return self._cum <= self.budget
-
-    def add_overhead(self, seconds: float) -> None:
-        """Charge decision time to the trace and to the budget."""
-        self.trace.overhead_seconds += seconds
-        self._cum += seconds
-
-    def record(self, pipeline_id: int, epoch: int, loss: float, step_cost: float) -> None:
-        self._cum += step_cost
-        self._incumbent = min(self._incumbent, loss)
-        self.trace.steps.append(
-            TraceStep(
-                pipeline_id=pipeline_id,
-                epoch=epoch,
-                loss=loss,
-                step_cost=step_cost,
-                cum_time=self._cum,
-                incumbent=float(self._incumbent),
-            )
-        )
-
-    def finish(self, exhausted: bool = False) -> RunTrace:
-        self.trace.exhausted = exhausted
-        return self.trace
-
-
 class _RunState:
-    """The one record of a run's observations, for ``tune`` and the baselines.
+    """The one record of a run, for ``tune`` and the baselines.
 
     Row i (the i-th evaluation) is ``rows[:, i]`` = (pipeline, epoch, loss,
-    cumulative cost), stored column-wise so a field of a run of rows is one
-    contiguous slice.  Per pipeline, ``cand_tau`` is the next epoch to
-    query, ``cand_last_cum`` the cumulative cost so far and ``cand_curves``
-    the observed losses by epoch.  Predictor inputs are gathered on demand
-    by ``surrogate.Encodings.inputs`` from ``cand_curves``: epochs are
-    recorded only on the dt grid, so a row at epoch tau sees exactly its
-    pipeline's losses at epochs up to tau - dt.
+    cumulative cost, step cost, seconds spent after it), stored column-wise
+    so a field of a run of rows is one contiguous slice.  A step costs its
+    pipeline's cumulative cost less the last observed one; ``spent`` also
+    holds the decision time charged by ``add_overhead``.  Per pipeline,
+    ``cand_tau`` is the next epoch to query, ``cand_last_cum`` the
+    cumulative cost so far and ``cand_curves`` the observed losses by epoch.
+    Predictor inputs are gathered on demand by ``surrogate.Encodings.inputs``
+    from ``cand_curves``: epochs are recorded only on the dt grid, so a row
+    at epoch tau sees exactly its pipeline's losses at epochs up to tau - dt.
     """
 
     def __init__(
-        self, n_pipelines: int, n_epochs: int, dt: int, recorder: TraceRecorder | None = None
+        self,
+        n_pipelines: int,
+        n_epochs: int,
+        dt: int,
+        budget: float = math.inf,
+        max_steps: int | None = None,
     ) -> None:
+        if max_steps is not None and max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         self.n_epochs = n_epochs
         self.dt = dt
-        self.recorder = recorder
-        self.rows = np.empty((4, 64))
+        self.budget = budget
+        self.max_steps = max_steps
+        self.spent = 0.0
+        self.overhead = 0.0
+        self.rows = np.empty((6, 64))
         self.n_rows = 0
         self.cand_curves = np.zeros((n_pipelines, n_epochs))
         self.cand_tau = np.full(n_pipelines, dt, dtype=np.int64)
         self.cand_last_cum = np.zeros(n_pipelines)
         self.epoch_min = np.full(n_epochs + 1, np.inf)
 
+    def open(self) -> bool:
+        """Within budget and under the step cap."""
+        return self.spent <= self.budget and (
+            self.max_steps is None or self.n_rows < self.max_steps
+        )
+
+    def add_overhead(self, seconds: float) -> None:
+        """Charge decision time to the budget."""
+        self.overhead += seconds
+        self.spent += seconds
+
     def evaluate(self, view: DatasetView, pid: int) -> None:
-        """Query the pipeline's next epoch, record it, and write the step,
-        priced as the cumulative cost less the last observed one, to the trace."""
+        """Query the pipeline's next epoch and record it."""
         epoch = int(self.cand_tau[pid])
         loss, cum_cost = view.query(pid, epoch)
-        step_cost = float(cum_cost - self.cand_last_cum[pid])
         self.record(pid, epoch, loss, cum_cost)
-        self.recorder.record(pid, epoch, loss, step_cost)
 
     def record(self, pid: int, epoch: int, loss: float, cum_cost: float) -> None:
         if not 0.0 <= loss <= 1.0:
@@ -269,24 +245,34 @@ class _RunState:
             raise HistoryOrderError(f"pipeline {pid}: cum_cost decreased at epoch {epoch}")
         if self.n_rows == self.rows.shape[1]:
             self.rows = np.concatenate([self.rows, np.empty_like(self.rows)], axis=1)
-        self.rows[:, self.n_rows] = pid, epoch, loss, cum_cost
+        step_cost = float(cum_cost - self.cand_last_cum[pid])
+        self.spent += step_cost
+        self.rows[:, self.n_rows] = pid, epoch, loss, cum_cost, step_cost, self.spent
         self.n_rows += 1
         self.cand_curves[pid, epoch - 1] = loss
         self.cand_tau[pid] = epoch + self.dt
         self.cand_last_cum[pid] = cum_cost
         self.epoch_min[epoch] = min(self.epoch_min[epoch], loss)
 
-    def best(self) -> tuple[int, int, float]:
-        """(pipeline, epoch, loss) of the first row with the minimal loss."""
-        pid, epoch, loss = self.rows[:3, int(np.argmin(self.rows[2, : self.n_rows]))]
-        return int(pid), int(epoch), float(loss)
+    def trace(
+        self, method: str, dataset: str, seed: int, flags: dict, exhausted: bool = False
+    ) -> RunTrace:
+        """The run as a trace: one step per row, with the running minimum
+        of the loss as its incumbent."""
+        pid, epoch, loss, _, step_cost, spent = self.rows[:, : self.n_rows]
+        incumbent = np.minimum.accumulate(loss)
+        steps = [
+            TraceStep(int(p), int(e), float(y), float(c), float(t), float(b))
+            for p, e, y, c, t, b in zip(pid, epoch, loss, step_cost, spent, incumbent)
+        ]
+        return RunTrace(method, dataset, seed, flags, steps, self.overhead, exhausted)
 
     def train_inputs(self, enc: Encodings, window: int | None):
         """The last ``window`` rows (all by default) as predictor inputs,
         with their loss and cumulative-cost targets."""
         lo = 0 if window is None else max(0, self.n_rows - window)
         pid, epoch = self.rows[:2, lo : self.n_rows].astype(np.int64)
-        y, cost = self.rows[2:, lo : self.n_rows]
+        y, cost = self.rows[2:4, lo : self.n_rows]
         return enc.inputs(pid, epoch, self.cand_curves[pid]), y, cost
 
     def candidate_pool(self) -> list[int]:
@@ -403,7 +389,7 @@ class _ScoreCache:
                 "a rank-1 step folds in exactly one"
             )
         gp = self.gp
-        pid, _, loss, _ = state.rows[:, state.n_rows - 1]
+        pid, _, loss = state.rows[:3, state.n_rows - 1]
         pid = int(pid)
         cand = state.candidate_arrays(self.enc, [pid])
         zc = gp.features_batch(cand)[0]
@@ -481,10 +467,7 @@ def tune(
         checkpoint.apply_to(gp, cp)
     cost_prior = cp.head_vector()  # every refit of the cost head shrinks toward it
 
-    flags = cfg.flags()
-    flags["seed"] = cfg.seed
-    recorder = TraceRecorder(method, view.dataset_id, cfg.seed, flags, cfg.budget_seconds)
-    state = _RunState(view.n_pipelines, n_epochs, dt, recorder)
+    state = _RunState(view.n_pipelines, n_epochs, dt, cfg.budget_seconds, cfg.max_steps)
 
     init_rng = substream(cfg.seed, "tune", view.dataset_id, "init-sample")
     acq_rng = substream(cfg.seed, "tune", view.dataset_id, "acquisition")
@@ -502,9 +485,7 @@ def tune(
 
     cache: _ScoreCache | None = None
     exhausted = False
-    while not aborted and recorder.within_budget():
-        if cfg.max_steps is not None and state.n_rows >= cfg.max_steps:
-            break
+    while not aborted and state.open():
         started = time.perf_counter() if cfg.count_overhead else 0.0
         refit = state.n_rows <= 30 or state.n_rows % cfg.refit_period == 0
         if refit or cache is None:
@@ -532,17 +513,12 @@ def tune(
         )
         pid = argmax_lowest_id(pool, scores)
         if cfg.count_overhead:
-            recorder.add_overhead(time.perf_counter() - started)
-            if not recorder.within_budget():
+            state.add_overhead(time.perf_counter() - started)
+            if not state.open():
                 break
         aborted = not run_step(pid)
 
-    trace = recorder.finish(exhausted=exhausted)
-    if not aborted and trace.steps and trace.best() != state.best():
-        raise RuntimeError(
-            f"trace best {trace.best()!r} disagrees with the run-state's {state.best()!r}"
-        )
-    return trace
+    return state.trace(method, view.dataset_id, cfg.seed, cfg.flags(), exhausted)
 
 
 def incumbent_curve(trace: RunTrace) -> list[tuple[float, float]]:

@@ -1,8 +1,9 @@
 """Source hygiene and process set-up: every module in ``src/graybo`` uses
 each name it imports, none imports ``scipy.stats`` (~0.5–0.9 s of every
 command's start-up) when it is imported, ``import graybo`` keeps the heap
-top, so meta-training does not fault its pages back in every iteration, and
-``PredictorInputs`` is built in ``surrogate.Encodings.inputs`` only."""
+top, so meta-training does not fault its pages back in every iteration,
+``PredictorInputs`` is built in ``surrogate.Encodings.inputs`` only and
+``RunTrace`` in ``optimizer._RunState.trace`` only."""
 
 import ast
 import ctypes
@@ -151,9 +152,13 @@ def _calls_by_function(tree, callee: str):
 def test_predictor_inputs_are_gathered_in_one_function():
     # every predictor input row comes from surrogate.Encodings.inputs, so the
     # training, candidate, meta-train and zero-shot rows follow one
-    # visibility rule; a second place that builds PredictorInputs fails here
-    sites = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        sites |= {f"{path.stem}.{fn}" for fn in _calls_by_function(tree, "PredictorInputs")}
-    assert sites == {"surrogate.Encodings.inputs"}
+    # visibility rule; likewise every trace is built from a run-state's rows
+    # in _RunState.trace.  A second place that builds either fails here
+    sole_builders = {
+        "PredictorInputs": "surrogate.Encodings.inputs",
+        "RunTrace": "optimizer._RunState.trace",
+    }
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    for callee, builder in sole_builders.items():
+        sites = {f"{stem}.{fn}" for stem, tree in trees.items() for fn in _calls_by_function(tree, callee)}
+        assert sites == {builder}, callee

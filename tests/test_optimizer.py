@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graybo.benchtab import DatasetView, GeneratorConfig, TabularBenchmark, generate
-from graybo.core import History, HistoryOrderError, best_in_history
+from graybo.core import History, HistoryOrderError, Observation, best_in_history
 from graybo.evalkit import gp_full, random_search, successive_halving
 from graybo.optimizer import RunTrace, TraceStep, TuneConfig, _RunState, incumbent_curve, tune
 
@@ -103,8 +103,6 @@ def test_incumbent_sequence_nonincreasing(bench, small_space):
 def test_returned_best_matches_history_minimum(bench, small_space):
     trace = _run(bench, small_space, budget_seconds=300.0)
     h = History()
-    from graybo.core import Observation
-
     for s in trace.steps:
         h.append(
             Observation(
@@ -115,15 +113,6 @@ def test_returned_best_matches_history_minimum(bench, small_space):
             )
         )
     assert trace.best()[2] == best_in_history(h)[2]
-
-
-def test_best_mismatch_with_history_raises(bench, small_space, monkeypatch):
-    # the end-of-run consistency check must survive ``python -O``
-    import graybo.optimizer as optimizer
-
-    monkeypatch.setattr(optimizer._RunState, "best", lambda self: (-1, -1, -1.0))
-    with pytest.raises(RuntimeError, match="disagrees"):
-        _run(bench, small_space, budget_seconds=50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +167,7 @@ def test_run_state_record_rejects_an_epoch_off_the_progression():
     # rejected observations leave no trace in the state
     assert state.n_rows == 2
     assert list(state.cand_tau) == [4, 4]
-    assert state.best() == (1, 2, 0.3)
+    assert state.trace("m", "d", 0, {}).best() == (1, 2, 0.3)
 
 
 def test_no_optimizer_builds_a_history(tiny_bench, small_space, monkeypatch):
@@ -192,6 +181,43 @@ def test_no_optimizer_builds_a_history(tiny_bench, small_space, monkeypatch):
     assert gp_full(view, small_space, 60.0, seed=0, fit_steps=1).steps
     assert random_search(view, small_space, 60.0, seed=0).steps
     assert successive_halving(view, small_space, 60.0, seed=0).steps
+
+
+_RUNS = {
+    "tune": lambda view, space: tune(view, space, _cfg(budget_seconds=200.0)),
+    "tune-overhead": lambda view, space: tune(
+        view, space, _cfg(budget_seconds=200.0, count_overhead=True)
+    ),
+    # the cap falls inside a curve (5 epochs), not at a pipeline's end
+    "random-capped": lambda view, space: random_search(view, space, 1e9, seed=0, max_steps=7),
+    "sha": lambda view, space: successive_halving(view, space, 200.0, seed=0),
+}
+
+
+@pytest.mark.parametrize("run", list(_RUNS))
+def test_trace_replays_into_a_history_with_its_prices_and_incumbents(bench, small_space, run):
+    # each step is priced as its pipeline's cumulative-cost difference, the
+    # incumbent is the running minimum, and the run's seconds are its step
+    # costs plus the decision time charged to the budget
+    view = bench.view(bench.dataset_ids[0])
+    trace = _RUNS[run](view, small_space)
+    h = History()
+    best = math.inf
+    for s in trace.steps:
+        before = h.of_pipeline(s.pipeline_id)
+        loss, cum_cost = view.query(s.pipeline_id, s.epoch)
+        h.append(Observation(s.pipeline_id, s.epoch, s.loss, cum_cost))
+        assert s.loss == loss
+        assert s.step_cost == cum_cost - (before[-1].cum_cost if before else 0.0)
+        best = min(best, s.loss)
+        assert s.incumbent == best
+    total = sum(s.step_cost for s in trace.steps) + trace.overhead_seconds
+    assert trace.final_cum_time == pytest.approx(total, rel=1e-12)
+    assert (trace.overhead_seconds > 0.0) == (run == "tune-overhead")
+    if run == "random-capped":
+        assert len(trace.steps) == 7
+    else:
+        assert not trace.flags.get("max_steps")
 
 
 def test_full_fidelity_evaluates_whole_curves(bench, small_space):
