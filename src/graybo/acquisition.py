@@ -17,16 +17,25 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .costmodel import STEP_COST_FLOOR
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_erfc = None
+
+
+def load_erfc():
+    """scipy.special's ``erfc``, imported on the first call (the first
+    ``norm_cdf``); forking commands call it before they fork."""
+    global _erfc
+    if _erfc is None:
+        from scipy.special import erfc as _erfc
+    return _erfc
 
 
 def norm_cdf(u: np.ndarray | float) -> np.ndarray | float:
-    return 0.5 * erfc(-np.asarray(u, dtype=np.float64) / SQRT2)
+    return 0.5 * (_erfc or load_erfc())(-np.asarray(u, dtype=np.float64) / SQRT2)
 
 
 def norm_pdf(u: np.ndarray | float) -> np.ndarray | float:

@@ -6,7 +6,8 @@ files.  Exit codes: 0 success, 2 usage, 3 I/O failure, 4 empty input,
 logging.
 
 Each command pays its start-up once: no module imports ``scipy.stats`` at
-import time, ``tune`` and ``baseline`` parse the table (and the checkpoint)
+import time and ``scipy.linalg``/``scipy.special`` only at a first solve
+or EI score, ``tune`` and ``baseline`` parse the table (and the checkpoint)
 once and hand each run its dataset view, which fork workers receive as task
 arguments.  Importing graybo keeps glibc from trimming the heap top between
 fits (``surrogate.keep_heap_top``), in this process and its fork workers.
@@ -24,9 +25,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import benchtab, evalkit, metalearn
+from .acquisition import load_erfc
 from .core import SearchSpace, load_space, save_space, space_from_dict
 from .optimizer import RunTrace, TuneConfig, tune
-from .surrogate import SingularKernelError
+from .surrogate import SingularKernelError, load_lapack
 
 log = logging.getLogger("graybo.cli")
 
@@ -259,14 +261,18 @@ def _grid_out_paths(out: str, method: str, datasets: list[str], seeds: list[int]
     }
 
 
-def _run_grid(jobs: int, work: list[tuple], runner) -> None:
+def _run_grid(jobs: int, work: list[tuple], runner, solves: bool = False) -> None:
     """Run each work item, in turn or on ``jobs`` fork workers; workers get
     the loaded table and checkpoint in their task arguments (pickled), not by
-    parsing the files again."""
+    parsing the files again.  Runs that ``solves`` get scipy's LAPACK and
+    ``erfc`` loaded before the fork, so the workers inherit them."""
     if jobs == 1 or len(work) <= 1:
         for item in work:
             runner(*item)
         return
+    if solves:
+        load_lapack()
+        load_erfc()
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
@@ -309,7 +315,7 @@ def cmd_tune(args) -> int:
         for d in datasets
         for s in seeds
     ]
-    _run_grid(args.jobs, work, _run_one_tune)
+    _run_grid(args.jobs, work, _run_one_tune, solves=True)
     return EXIT_OK
 
 
@@ -356,7 +362,7 @@ def cmd_baseline(args) -> int:
         for d in datasets
         for s in seeds
     ]
-    _run_grid(args.jobs, work, _run_one_baseline)
+    _run_grid(args.jobs, work, _run_one_baseline, solves=args.method == "gp-full")
     return EXIT_OK
 
 

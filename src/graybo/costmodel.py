@@ -61,7 +61,7 @@ class CostPredictor:
         return self.fx.params() + self.head.params()
 
     def raw_batch(self, inputs: PredictorInputs) -> np.ndarray:
-        z, _ = self.fx.forward(inputs)
+        z, _ = self.fx.forward(inputs, grad=False)
         out, _ = self.head.forward(z)
         return out[:, 0]
 
@@ -119,7 +119,7 @@ class CostPredictor:
         costs = np.asarray(costs, dtype=np.float64)
         if len(costs) == 0:
             return FitReport(math.nan, math.nan, 0)
-        z, _ = self.fx.forward(inputs)
+        z, _ = self.fx.forward(inputs, grad=False)
         X = np.hstack([z, np.ones((len(z), 1))])
         initial = log_cost_mse(X @ self.head_vector(), costs)
         if not np.all(np.isfinite(z)):

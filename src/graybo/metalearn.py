@@ -188,10 +188,11 @@ class _DatasetCache:
     """One meta-dataset's encodings, gathered into batches by
     ``surrogate.Encodings.inputs``, and its target normalization."""
 
-    def __init__(self, table: DatasetTable, space: SearchSpace, ctx_proto: PredictorContext) -> None:
+    def __init__(self, table: DatasetTable, encoded: dict, ctx_proto: PredictorContext) -> None:
+        """``encoded`` maps ``id(pipeline)`` to its encoding."""
         self.table = table
         ctx = replace(ctx_proto, meta=table.meta)
-        self.enc = Encodings.of(ctx, [encode(p, space) for p in table.pipelines])
+        self.enc = Encodings.of(ctx, [encoded[id(p)] for p in table.pipelines])
         std = float(table.losses.std())
         self.y_mean = float(table.losses.mean())
         self.y_std = std if std > 0 else 1.0
@@ -235,10 +236,10 @@ def meta_train(
     proto_meta = md.datasets[train_ids[0]].meta
     ctx_proto = PredictorContext.from_space(space, proto_meta, n_epochs, dt)
 
-    caches = {
-        did: _DatasetCache(md.datasets[did], space, ctx_proto)
-        for did in train_ids + split.val_ids
-    }
+    # the generator shares one Pipeline list between datasets: encode each once
+    unique = {id(p): p for did in train_ids + split.val_ids for p in md.datasets[did].pipelines}
+    encoded = {key: encode(p, space) for key, p in unique.items()}
+    caches = {did: _DatasetCache(md.datasets[did], encoded, ctx_proto) for did in train_ids + split.val_ids}
 
     gp = DeepKernelGP(ctx_proto, substream(seed, "metatrain", "surrogate-init"))
     cp = CostPredictor(ctx_proto, substream(seed, "metatrain", "cost-init"))

@@ -4,7 +4,10 @@ Fixed architectures only: dense layers, 1-D convolutions, softplus, mean
 pooling, Adam, and the best-state fit loop (``fit_best``) that the GP
 trains with.  Every layer exposes ``forward(x) -> (y, cache)`` and
 ``backward(cache, dy) -> dx`` with parameter gradients accumulated into
-the owning :class:`ParamBlock`.  All arithmetic is float64.
+the owning :class:`ParamBlock`.  All arithmetic is float64.  A network's
+``forward(..., grad=False)`` skips the softplus derivatives, which only
+``backward`` reads.  Softplus and the convolutions work in place, but
+every result is the bytes of the plain expressions in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -83,20 +86,26 @@ class Dense:
         return dy @ self.W.values.T
 
 
-def softplus(x: np.ndarray):
-    """Smooth rectifier log(1 + e^x); the predictors use it throughout so
-    every objective is C-infinity and finite-difference checkable at every
-    parameter (ReLU's kinks and exactly-linear regions are not)."""
-    e = np.exp(-np.abs(x))
-    y = np.maximum(x, 0.0) + np.log1p(e)
+def softplus(x: np.ndarray, grad: bool = True):
+    """Smooth rectifier log(1 + e^x) and its derivative (None without
+    ``grad``); the predictors use it throughout so every objective is
+    C-infinity and finite-difference checkable at every parameter (ReLU's
+    kinks and exactly-linear regions are not)."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)  # e^-|x|
+    y = np.maximum(x, 0.0)
+    if not grad:
+        y += np.log1p(e, out=e)
+        return y, None
+    sig = np.log1p(e)
+    y += sig
     # e <= 1, so max(e, [x >= 0]) picks 1 or e: the logistic sigmoid of x
     # without a branchy np.where
-    sig = np.maximum(e, x >= 0.0) / (1.0 + e)
+    np.greater_equal(x, 0.0, out=sig)
+    np.maximum(e, sig, out=sig)
+    e += 1.0
+    sig /= e
     return y, sig
-
-
-def softplus_backward(sig: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return dy * sig
 
 
 class Conv1d:
@@ -118,14 +127,21 @@ class Conv1d:
     def params(self) -> list[ParamBlock]:
         return [self.W, self.b]
 
-    def unroll(self, x: np.ndarray) -> np.ndarray:
-        """(batch, c_in * width, length) window matrix of a padded input."""
-        batch, _, length = x.shape
-        padded = np.zeros((batch, self.c_in, length + 2 * self.pad))
-        padded[:, :, self.pad : self.pad + length] = x
-        windows = np.empty((batch, self.c_in, self.width, length))
+    def _spans(self, length: int):
+        """Per window j: the positions t whose x[t + j - pad] exists, and those x positions."""
         for j in range(self.width):
-            windows[:, :, j, :] = padded[:, :, j : j + length]
+            s = j - self.pad
+            lo = max(-s, 0)
+            hi = max(length - max(s, 0), lo)
+            yield j, slice(lo, hi), slice(lo + s, hi + s)
+
+    def unroll(self, x: np.ndarray) -> np.ndarray:
+        """(batch, c_in * width, length) window matrix of the zero-padded input."""
+        batch, _, length = x.shape
+        windows = np.empty((batch, self.c_in, self.width, length))
+        windows[..., : self.pad] = windows[..., length - self.pad :] = 0.0  # where windows read padding
+        for j, out, src in self._spans(length):
+            windows[:, :, j, out] = x[:, :, src]
         return windows.reshape(batch, self.c_in * self.width, length)
 
     def forward(self, x: np.ndarray, flat: np.ndarray | None = None):
@@ -133,30 +149,28 @@ class Conv1d:
         constant across many parameter updates)."""
         if x.shape[1] != self.c_in:
             raise ValueError(f"{self.W.name}: channel count {x.shape[1]} != {self.c_in}")
-        length = x.shape[2]
         if flat is None:
             flat = self.unroll(x)
         w_mat = self.W.values.reshape(self.c_out, self.c_in * self.width)
-        y = np.matmul(w_mat, flat) + self.b.values[None, :, None]
-        return y, (flat, length)
+        y = np.matmul(w_mat, flat)
+        y += self.b.values[None, :, None]
+        return y, flat
 
-    def backward(self, cache, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
-        flat, length = cache
-        batch = dy.shape[0]
-        ck = self.c_in * self.width
+    def backward(self, flat: np.ndarray, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        batch, _, length = dy.shape
         # view transposes keep the contractions in BLAS without copies
         dW = np.matmul(dy, flat.transpose(0, 2, 1)).sum(axis=0)
         self.W.grad += dW.reshape(self.c_out, self.c_in, self.width)
         self.b.grad += dy.sum(axis=(0, 2))
         if not need_dx:
             return None
-        w_mat = self.W.values.reshape(self.c_out, ck)
-        dflat = np.matmul(w_mat.T, dy)
-        dwin = dflat.reshape(batch, self.c_in, self.width, length)
-        dpad = np.zeros((batch, self.c_in, length + 2 * self.pad))
-        for j in range(self.width):
-            dpad[:, :, j : j + length] += dwin[:, :, j, :]
-        return dpad[:, :, self.pad : self.pad + length]
+        w_mat = self.W.values.reshape(self.c_out, self.c_in * self.width)
+        dwin = np.matmul(w_mat.T, dy).reshape(batch, self.c_in, self.width, length)
+        # dx[t] = ((0 + window 0) + window 1) + ..., as a padded sum would be
+        dx = np.zeros((batch, self.c_in, length))
+        for j, out, src in self._spans(length):
+            dx[:, :, src] += dwin[:, :, j, out]
+        return dx
 
 
 class MLP:
@@ -190,32 +204,20 @@ class MLP:
     def params(self) -> list[ParamBlock]:
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, grad: bool = True):
         caches = []
         for i, layer in enumerate(self.layers):
             x, c = layer.forward(x)
-            caches.append(("dense", c))
+            caches.append((layer, c))
             if i < len(self.layers) - 1:
-                x, m = softplus(x)
-                caches.append(("act", m))
+                x, m = softplus(x, grad)
+                caches.append((None, m))  # the softplus derivative
         return x, caches
 
     def backward(self, caches, dy: np.ndarray) -> np.ndarray:
-        it = reversed(list(zip(self._ops(), caches)))
-        for op, (kind, cache) in it:
-            if kind == "act":
-                dy = softplus_backward(cache, dy)
-            else:
-                dy = op.backward(cache, dy)
+        for layer, cache in reversed(caches):
+            dy = dy * cache if layer is None else layer.backward(cache, dy)
         return dy
-
-    def _ops(self):
-        ops = []
-        for i, layer in enumerate(self.layers):
-            ops.append(layer)
-            if i < len(self.layers) - 1:
-                ops.append(None)
-        return ops
 
 
 class CurveEncoder:
@@ -236,14 +238,14 @@ class CurveEncoder:
     def unroll(self, curves: np.ndarray) -> np.ndarray:
         return self.conv1.unroll(curves[:, None, :])
 
-    def forward(self, curves: np.ndarray, flat1: np.ndarray | None = None):
+    def forward(self, curves: np.ndarray, flat1: np.ndarray | None = None, grad: bool = True):
         if curves.shape[1] != self.n_epochs:
             raise ValueError(f"curve length {curves.shape[1]} != {self.n_epochs}")
         x = curves[:, None, :]
         h1, c1 = self.conv1.forward(x, flat=flat1)
-        a1, m1 = softplus(h1)
+        a1, m1 = softplus(h1, grad)
         h2, c2 = self.conv2.forward(a1)
-        a2, m2 = softplus(h2)
+        a2, m2 = softplus(h2, grad)
         z = a2.mean(axis=2)
         return z, (c1, m1, c2, m2)
 
@@ -252,11 +254,8 @@ class CurveEncoder:
         # never consumed, so the first convolution skips it
         c1, m1, c2, m2 = cache
         da2 = np.broadcast_to(dz[:, :, None] / self.n_epochs, m2.shape)
-        dh2 = softplus_backward(m2, da2)
-        da1 = self.conv2.backward(c2, dh2)
-        dh1 = softplus_backward(m1, da1)
-        self.conv1.backward(c1, dh1, need_dx=False)
-        return None
+        da1 = self.conv2.backward(c2, da2 * m2)
+        self.conv1.backward(c1, da1 * m1, need_dx=False)
 
 
 class Adam:

@@ -320,7 +320,7 @@ class _ScoreCache:
 
     A rebuild handed the cache it replaces (``reuse``) keeps its factor,
     ``V``, ``w`` and ``Ztr`` buffers when they hold n rows, and builds the
-    training Gram in the factor buffer's leading square (``gram``).
+    training Gram's lower triangle in the factor buffer (``gram(lower=True)``).
     """
 
     def __init__(
@@ -349,7 +349,7 @@ class _ScoreCache:
         cand_inputs = state.candidate_arrays(enc, np.arange(n_pipe))
         self.Zc = gp.features_batch(cand_inputs)
         noise = gp.kernel.noise_var
-        L, jitter = _chol_with_jitter(gram(self.Ztr[:n], gp.kernel, noise, out=self.L))
+        L, jitter = _chol_with_jitter(gram(self.Ztr[:n], gp.kernel, noise, out=self.L, lower=True))
         self.diag = gp.kernel.signal_var + noise + jitter
         self.L[:n, :n] = L
         self.w[:n] = solve_lower(L, gp.normalize(y))

@@ -11,6 +11,7 @@ Importing this module (so importing graybo) makes two process-wide
 settings once, which fork workers inherit: scipy's bundled OpenBLAS runs
 on the calling thread (``single_thread_scipy_blas``), and glibc keeps
 64 MiB free at the heap top instead of trimming it (``keep_heap_top``).
+scipy's LAPACK is imported by the first solve (``load_lapack``), not here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dtrtrs
 
 from .core import EncodedPipeline, MetaFeatures, SearchSpace
 from .neural import CurveEncoder, Dense, FitReport, MLP, ParamBlock, fit_best
@@ -65,7 +65,7 @@ def single_thread_scipy_blas(libs_dir: str | None = None) -> None:
     with its own thread pool whose idle threads spin for ~0.1 s after every
     call; on a small machine the pools fight the main thread for cores.
     The solves are too small to gain from threads, so scipy's pool is set to
-    one thread once, at import; numpy's pool (gemm, Cholesky) keeps the
+    one thread by ``load_lapack``; numpy's pool (gemm, Cholesky) keeps the
     caller's setting except while ``single_thread_numpy_blas`` is in force.
     ``fork`` children inherit the setting.
     """
@@ -75,6 +75,18 @@ def single_thread_scipy_blas(libs_dir: str | None = None) -> None:
 
 
 single_thread_scipy_blas()
+_dtrtrs = None
+
+
+def load_lapack():
+    """scipy's LAPACK ``dtrtrs``, imported (~0.25 s) and its pool set to one
+    thread on the first call; forking commands call it before they fork."""
+    global _dtrtrs
+    if _dtrtrs is None:
+        from scipy.linalg.lapack import dtrtrs as _dtrtrs
+        single_thread_scipy_blas()
+    return _dtrtrs
+
 
 M_TOP_PAD = -2  # glibc mallopt parameter: bytes kept free at the heap top
 TOP_PAD_BYTES = 64 << 20
@@ -249,12 +261,12 @@ class FeatureExtractor:
     def params(self) -> list[ParamBlock]:
         return self.model_embed.params() + self.curve_encoder.params() + self.trunk.params()
 
-    def forward(self, inputs: PredictorInputs, flat1: np.ndarray | None = None):
+    def forward(self, inputs: PredictorInputs, flat1: np.ndarray | None = None, grad: bool = True):
         e_model, c_model = self.model_embed.forward(inputs.model_onehot)
-        e_curve, c_curve = self.curve_encoder.forward(inputs.curves, flat1=flat1)
+        e_curve, c_curve = self.curve_encoder.forward(inputs.curves, flat1=flat1, grad=grad)
         tfrac = inputs.epoch[:, None] / self.ctx.n_epochs
         x = np.concatenate([inputs.hp, tfrac, inputs.meta, e_model, e_curve], axis=1)
-        z, c_trunk = self.trunk.forward(x)
+        z, c_trunk = self.trunk.forward(x, grad=grad)
         return z, (c_model, c_curve, c_trunk)
 
     def backward(self, trace, dz: np.ndarray) -> None:
@@ -315,7 +327,9 @@ def kernel_matrix(Z1: np.ndarray, Z2: np.ndarray, kernel: KernelParams) -> np.nd
     return _matern52(_pairwise_sqdist(Z1, Z2), kernel)
 
 
-def gram(Z: np.ndarray, kernel: KernelParams, noise: float, out: np.ndarray | None = None) -> np.ndarray:
+def gram(
+    Z: np.ndarray, kernel: KernelParams, noise: float, out: np.ndarray | None = None, lower: bool = False
+) -> np.ndarray:
     """``K(Z, Z) + noise * I``, bit-identical to ``kernel_matrix(Z, Z, kernel)
     + noise * np.eye(n)``, written into the leading n x n square of ``out``
     (a new array by default) and returned as that view.
@@ -324,15 +338,17 @@ def gram(Z: np.ndarray, kernel: KernelParams, noise: float, out: np.ndarray | No
     ``kernel_matrix``; the elementwise passes then run over ``GRAM_BLOCK``
     rows at a time, so their temporaries stay in cache, and the noise is
     added on the diagonal only (off it ``k + 0.0 == k``, as kernel values
-    are >= +0.0).  Nothing outside the square is read or written.
+    are >= +0.0).  Nothing outside the square is read or written.  ``lower``
+    fills only what a Cholesky factorization reads: above it stays ``Z Z^T``.
     """
     n = len(Z)
     K = (np.empty((n, n)) if out is None else out)[:n, :n]
     np.matmul(Z, Z.T, out=K)
     s = (Z * Z).sum(axis=1)
     for lo in range(0, n, GRAM_BLOCK):
-        rows = K[lo : lo + GRAM_BLOCK]
-        _matern52(_sqdist(s[lo : lo + GRAM_BLOCK], s, rows), kernel, out=rows)
+        hi = lo + GRAM_BLOCK
+        rows = K[lo:hi, : hi if lower else n]
+        _matern52(_sqdist(s[lo:hi], s[: rows.shape[1]], rows), kernel, out=rows)
     d = np.arange(n)
     K[d, d] += noise
     return K
@@ -381,7 +397,7 @@ def solve_lower(L_rows: np.ndarray, b: np.ndarray, transpose: bool = False) -> n
     """
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must not contain infs or NaNs")
-    x, info = dtrtrs(L_rows.T, b, lower=0, trans=0 if transpose else 1)
+    x, info = (_dtrtrs or load_lapack())(L_rows.T, b, lower=0, trans=0 if transpose else 1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -433,7 +449,7 @@ class DeepKernelGP:
         return (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
 
     def features_batch(self, inputs: PredictorInputs) -> np.ndarray:
-        z, _ = self.fx.forward(inputs)
+        z, _ = self.fx.forward(inputs, grad=False)
         return z
 
     # -- GP math ------------------------------------------------------------
@@ -496,10 +512,14 @@ class DeepKernelGP:
         ls = self.kernel.lengthscale
         sv = self.kernel.signal_var
         noise = self.kernel.noise_var
-        r = np.sqrt(_pairwise_sqdist(z, z))
-        u = SQRT5 * r / ls
+        # in place, as (sv ((1+u) + u^2/3)) e, ((sv u^2/3) (1+u)) e G and (c (1+u)) e G
+        u = SQRT5 * np.sqrt(_pairwise_sqdist(z, z))
+        u /= ls
         e = np.exp(-u)
-        K = sv * (1.0 + u + u * u / 3.0) * e
+        u1 = 1.0 + u
+        u2 = np.divide(np.multiply(u, u, out=u), 3.0, out=u)
+        K = (u1 + u2) * sv
+        K *= e
         A = K.copy()  # K stays for the gradients
         d = np.arange(n)
         A[d, d] += noise
@@ -515,13 +535,17 @@ class DeepKernelGP:
         Ainv = Linv.T @ Linv
         G = 0.5 * (Ainv - np.outer(alpha, alpha))
 
-        self.kernel.log_sv.grad += np.sum(G * K)
-        self.kernel.log_ls.grad += np.sum(G * (sv * (u * u / 3.0) * (1.0 + u) * e))
+        self.kernel.log_sv.grad += np.sum(np.multiply(K, G, out=K))
+        u2 *= sv
+        u2 *= u1
+        u2 *= e
+        self.kernel.log_ls.grad += np.sum(np.multiply(u2, G, out=u2))
         self.kernel.log_nv.grad += np.trace(G) * (noise - NOISE_FLOOR)
 
         # dK/dz_i = c_ij (z_i - z_j) with c finite at r = 0.
-        C = -(5.0 * sv / (3.0 * ls * ls)) * (1.0 + u) * e
-        W = G * C
+        W = np.multiply(u1, -(5.0 * sv / (3.0 * ls * ls)), out=u1)
+        W *= e
+        W *= G
         rowsum = W.sum(axis=1)
         dz = 2.0 * (rowsum[:, None] * z - W @ z)
         self.fx.backward(trace, dz)

@@ -14,6 +14,13 @@ by row instead, by ``assemble_inputs``: the training and candidate rows
 finite-difference gradient oracle, the scalar expected improvement, the
 ``np.where`` form of softplus and the score cache's rank-1 step computed
 from scratch live here too.
+
+The predictor passes work in place; their plain forms are kept here as
+the byte-for-byte references: the convolution through a zero-padded copy
+of its input (``conv_unroll``, ``conv_forward``, ``conv_backward``), the
+curve encoder's forward and backward pass built from them
+(``curve_encoder_pass``), and ``nll_with_grads`` with its kernel block as
+plain expressions, one new array per operation.
 """
 
 from __future__ import annotations
@@ -28,13 +35,17 @@ from graybo.acquisition import ei_scores, expected_improvement_batch
 from graybo.benchtab import DatasetTable
 from graybo.core import EncodedPipeline, History, SearchSpace, encode, incumbent_loss
 from graybo.costmodel import CostPredictor
-from graybo.neural import ParamBlock
+from graybo.neural import Conv1d, CurveEncoder, ParamBlock
 from graybo.optimizer import _NeedsRebuild, _RunState, _ScoreCache
 from graybo.surrogate import (
+    NOISE_FLOOR,
+    SQRT5,
     DeepKernelGP,
     Encodings,
     PredictorContext,
     PredictorInputs,
+    _chol_with_jitter,
+    _pairwise_sqdist,
     kernel_matrix,
     scale_meta,
     solve_lower,
@@ -270,6 +281,93 @@ def softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.maximum(x, 0.0) + np.log1p(e)
     denom = 1.0 + e
     return y, np.where(x >= 0.0, 1.0 / denom, e / denom)
+
+
+def conv_unroll(conv: Conv1d, x: np.ndarray) -> np.ndarray:
+    """``Conv1d.unroll`` copied out of a zero-padded copy of ``x``."""
+    batch, _, length = x.shape
+    padded = np.zeros((batch, conv.c_in, length + 2 * conv.pad))
+    padded[:, :, conv.pad : conv.pad + length] = x
+    windows = np.empty((batch, conv.c_in, conv.width, length))
+    for j in range(conv.width):
+        windows[:, :, j, :] = padded[:, :, j : j + length]
+    return windows.reshape(batch, conv.c_in * conv.width, length)
+
+
+def conv_forward(conv: Conv1d, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Conv1d.forward`` of ``x``: the output and the window matrix."""
+    flat = conv_unroll(conv, x)
+    w_mat = conv.W.values.reshape(conv.c_out, conv.c_in * conv.width)
+    return np.matmul(w_mat, flat) + conv.b.values[None, :, None], flat
+
+
+def conv_backward(conv: Conv1d, flat: np.ndarray, dy: np.ndarray, need_dx: bool = True):
+    """``Conv1d.backward``, with the input gradient summed in a zero-padded
+    array, window 0 first, and returned as a strided view of its middle."""
+    batch, length = dy.shape[0], dy.shape[2]
+    ck = conv.c_in * conv.width
+    dW = np.matmul(dy, flat.transpose(0, 2, 1)).sum(axis=0)
+    conv.W.grad += dW.reshape(conv.c_out, conv.c_in, conv.width)
+    conv.b.grad += dy.sum(axis=(0, 2))
+    if not need_dx:
+        return None
+    dflat = np.matmul(conv.W.values.reshape(conv.c_out, ck).T, dy)
+    dwin = dflat.reshape(batch, conv.c_in, conv.width, length)
+    dpad = np.zeros((batch, conv.c_in, length + 2 * conv.pad))
+    for j in range(conv.width):
+        dpad[:, :, j : j + length] += dwin[:, :, j, :]
+    return dpad[:, :, conv.pad : conv.pad + length]
+
+
+def curve_encoder_pass(ce: CurveEncoder, curves: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """``CurveEncoder.forward`` then ``backward`` with ``dz`` from the plain
+    convolution and the ``np.where`` softplus; returns the embedding and
+    accumulates the gradients into ``ce``'s blocks."""
+    h1, flat1 = conv_forward(ce.conv1, curves[:, None, :])
+    a1, m1 = softplus(h1)
+    h2, flat2 = conv_forward(ce.conv2, a1)
+    a2, m2 = softplus(h2)
+    da2 = np.broadcast_to(dz[:, :, None] / ce.n_epochs, m2.shape)
+    da1 = conv_backward(ce.conv2, flat2, da2 * m2)
+    conv_backward(ce.conv1, flat1, da1 * m1, need_dx=False)
+    return a2.mean(axis=2)
+
+
+def nll_with_grads(gp: DeepKernelGP, inputs: PredictorInputs, y: np.ndarray) -> float:
+    """``DeepKernelGP.nll_with_grads`` with the kernel, its parameter
+    gradients and the latent-gradient weights C as plain expressions."""
+    z, trace = gp.fx.forward(inputs)
+    y_n = gp.normalize(y)
+    n = len(y_n)
+    if not np.all(np.isfinite(z)):
+        return math.inf
+    ls = gp.kernel.lengthscale
+    sv = gp.kernel.signal_var
+    noise = gp.kernel.noise_var
+    r = np.sqrt(_pairwise_sqdist(z, z))
+    u = SQRT5 * r / ls
+    e = np.exp(-u)
+    K = sv * (1.0 + u + u * u / 3.0) * e
+    A = K.copy()
+    d = np.arange(n)
+    A[d, d] += noise
+    if not np.all(np.isfinite(A)):
+        return math.inf
+    L, _ = _chol_with_jitter(A)
+    w = solve_lower(L, y_n)
+    alpha = solve_lower(L, w, transpose=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    value = 0.5 * float(w @ w) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
+    Linv = solve_lower(L, np.eye(n))
+    G = 0.5 * (Linv.T @ Linv - np.outer(alpha, alpha))
+    gp.kernel.log_sv.grad += np.sum(G * K)
+    gp.kernel.log_ls.grad += np.sum(G * (sv * (u * u / 3.0) * (1.0 + u) * e))
+    gp.kernel.log_nv.grad += np.trace(G) * (noise - NOISE_FLOOR)
+    C = -(5.0 * sv / (3.0 * ls * ls)) * (1.0 + u) * e
+    W = G * C
+    dz = 2.0 * (W.sum(axis=1)[:, None] * z - W @ z)
+    gp.fx.backward(trace, dz)
+    return value
 
 
 def cell_batch(

@@ -1,6 +1,8 @@
 """Source hygiene and process set-up: every module in ``src/graybo`` uses
 each name it imports, none imports ``scipy.stats`` (~0.5–0.9 s of every
-command's start-up) when it is imported, ``import graybo`` keeps the heap
+command's start-up) when it is imported, commands that never solve or
+score leave ``scipy.linalg`` and ``scipy.special`` unloaded and forking
+commands that solve load them before forking, ``import graybo`` keeps the heap
 top, so meta-training does not fault its pages back in every iteration,
 ``PredictorInputs`` is built in ``surrogate.Encodings.inputs`` only and
 ``RunTrace`` in ``optimizer._RunState.trace`` only."""
@@ -77,7 +79,8 @@ def test_cli_start_up_and_report_leave_scipy_stats_unloaded(tmp_path):
                      "--budget-seconds", "60", "--seed", "0", "--out", runs]) == 0
         assert main(["report", "--runs", runs, "--bench", bench,
                      "--out", os.path.join(out, "report")]) == 0
-        print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+        unloaded = ("scipy.stats", "scipy.linalg", "scipy.special")
+        print(sorted(m for m in sys.modules if m.startswith(unloaded)))
         """
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -86,6 +89,34 @@ def test_cli_start_up_and_report_leave_scipy_stats_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_forking_commands_load_scipy_before_forking_only_when_they_solve(tmp_path):
+    # the random baseline never solves, so its workers need neither LAPACK nor
+    # erfc; the gp-full baseline's workers inherit both from the parent, which
+    # solves nothing itself
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from graybo.cli import main
+
+        out = sys.argv[1]
+        bench = os.path.join(out, "bench")
+        assert main(["gen", "--clusters", "2", "--datasets", "2", "--models", "2",
+                     "--configs", "4", "--epochs", "3", "--out", bench]) == 0
+        for method, extra in (("random", []), ("gp-full", ["--fit-steps", "1", "--max-steps", "2"])):
+            assert main(["baseline", "--method", method, "--bench", bench, "--dataset", "all",
+                         "--budget-seconds", "60", "--seed", "0,1", "--jobs", "2",
+                         "--out", os.path.join(out, method)] + extra) == 0
+            print(method, "scipy.linalg.lapack" in sys.modules, "scipy.special" in sys.modules)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["random", "False", "False", "gp-full", "True", "True"]
 
 
 def _has_mallopt() -> bool:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graybo.benchtab import DatasetTable, GeneratorConfig, generate
+from graybo.core import encode
 from graybo.costmodel import CostPredictor, log_cost_mse
 from graybo.metalearn import (
     FoldSplit,
@@ -50,7 +51,7 @@ def test_cell_batch_equals_per_cell_oracle(micro_md, small_space, dt):
     table = next(iter(micro_md.datasets.values()))
     n_ep = table.n_epochs
     ctx = PredictorContext.from_space(small_space, table.meta, n_ep, dt)
-    cache = _DatasetCache(table, small_space, ctx)
+    cache = _DatasetCache(table, {id(p): encode(p, small_space) for p in table.pipelines}, ctx)
     rng = substream(5, "cell-batch", dt)
     pis = rng.integers(table.n_pipelines, size=64)
     eps = rng.integers(1, n_ep + 1, size=64)
@@ -125,6 +126,19 @@ def test_zero_iterations_returns_random_init(micro_md, small_space):
     p2 = r2.checkpoint.to_payload()
     assert json.dumps(p1) == json.dumps(p2)
     assert r1.iterations_run == 0
+
+
+def test_meta_train_encodes_each_shared_pipeline_once(micro_md, small_space, monkeypatch):
+    import graybo.metalearn as metalearn
+
+    calls = []
+    encode = metalearn.encode
+    monkeypatch.setattr(metalearn, "encode", lambda p, space: calls.append(p) or encode(p, space))
+    split = split_folds(micro_md.dataset_ids, k=3, seed=0)
+    meta_train(micro_md, split, small_space, iters=0)
+    used = [p for did in split.train_ids + split.val_ids for p in micro_md.datasets[did].pipelines]
+    assert len(used) > len({id(p) for p in used})  # the generator shares the pipeline objects
+    assert sorted(map(id, calls)) == sorted({id(p) for p in used})
 
 
 def test_meta_train_deterministic_checkpoint_bytes(micro_md, small_space, tmp_path):
@@ -282,7 +296,8 @@ def test_meta_train_records_the_cost_net_validation_mse(micro_md, small_space):
     val_rng = substream(5, "metatrain", "val-cells")
     batches = []
     for did in split.val_ids:
-        cache = _DatasetCache(micro_md.datasets[did], small_space, ctx)
+        table = micro_md.datasets[did]
+        cache = _DatasetCache(table, {id(p): encode(p, small_space) for p in table.pipelines}, ctx)
         pis = val_rng.integers(cache.table.n_pipelines, size=64)
         eps = val_rng.integers(1, n_epochs + 1, size=64)
         batches.append(cache.cell_batch(pis, eps))

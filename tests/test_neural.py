@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from oracle import fd_noise_floor, grad_check, history_inputs
+from oracle import (
+    conv_backward,
+    conv_forward,
+    conv_unroll,
+    curve_encoder_pass,
+    fd_noise_floor,
+    grad_check,
+    history_inputs,
+)
 from oracle import softplus as softplus_where
 
 from graybo.core import History, Observation, encode, sample_pipeline
@@ -200,12 +208,82 @@ def test_softplus_positive_and_smooth():
 @pytest.mark.parametrize("shape", [(64, 8, 50), (96, 8, 50), (100, 8, 50), (1000, 8, 50), (96, 32)])
 def test_softplus_matches_the_where_form_byte_for_byte(shape):
     rng = substream(0, "softplus", *shape)
-    specials = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320, 36.0, -36.0]
+    specials = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320, 36.0, -36.0, np.inf, -np.inf, np.nan, -np.nan]
     for scale in (1e-3, 1e-1, 1.0, 5.0, 30.0):
         x = rng.normal(size=shape) * scale
         x.flat[: len(specials)] = specials
-        for got, want in zip(softplus(x), softplus_where(x)):
-            assert got.tobytes() == want.tobytes()
+        want = softplus_where(x)
+        for got, ref in zip(softplus(x), want):
+            assert got.tobytes() == ref.tobytes()
+        y, sig = softplus(x, grad=False)
+        assert sig is None and y.tobytes() == want[0].tobytes()
+
+
+def _signed_inputs(rng, shape, scale):
+    """Normal draws times ``scale`` with the last third of every row zero,
+    as in a zero-padded curve, and ±0.0, |x| > 40 and subnormals planted."""
+    x = rng.normal(size=shape) * scale
+    x[..., 2 * shape[-1] // 3 :] = 0.0
+    specials = [0.0, -0.0, 45.0, -45.0, 1e-320, -1e-320]
+    n = min(len(specials), x.size)
+    x.flat[:n] = specials[:n]
+    return x
+
+
+def _conv_pair(c_in, c_out, width, seed):
+    """Two convolutions with the same parameters: one to run, one for the
+    reference to accumulate its gradients into."""
+    return [Conv1d("c", c_in, c_out, width, substream(seed, "conv")) for _ in range(2)]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64, 96])
+def test_conv_matches_the_padded_reference_byte_for_byte(batch):
+    for c_in, c_out, width, length in ((1, 8, 3, 50), (8, 8, 3, 50), (3, 2, 5, 4), (2, 3, 5, 1)):
+        rng = substream(batch, "conv-inputs", c_in, width, length)
+        conv, ref = _conv_pair(c_in, c_out, width, batch)
+        ref.b.values[...] = conv.b.values[...] = rng.normal(size=c_out)
+        x = _signed_inputs(rng, (batch, c_in, length), 20.0)
+        assert conv.unroll(x).tobytes() == conv_unroll(ref, x).tobytes()
+        y, cache = conv.forward(x)
+        y_ref, flat_ref = conv_forward(ref, x)
+        assert y.tobytes() == y_ref.tobytes()
+        dy = _signed_inputs(rng, y.shape, 3.0)
+        dx = conv.backward(cache, dy)
+        dx_ref = conv_backward(ref, flat_ref, dy)
+        assert dx.shape == x.shape and dx.tobytes() == dx_ref.tobytes()
+        for p, q in zip(conv.params(), ref.params()):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
+def test_conv_input_gradient_sums_every_window_onto_a_positive_zero():
+    """dx[t] is ((0 + window 0) + window 1) + window 2, so where every
+    window contributes -0.0 the sum is +0.0; a sum started from one
+    window's values, with the others added after, gives -0.0 there."""
+    conv, ref = _conv_pair(2, 2, 3, 0)
+    conv.W.values[...] = ref.W.values[...] = 1e-100
+    x = np.ones((3, 2, 6))
+    dy = np.full((3, 2, 6), -1e-300)  # every product underflows to -0.0
+    if not np.signbit(np.matmul(conv.W.values.reshape(2, 6).T, dy)).all():
+        pytest.skip("this BLAS rounds an underflowing dot product to +0.0")
+    _, cache = conv.forward(x)
+    dx = conv.backward(cache, dy)
+    assert not np.signbit(dx).any()
+    assert dx.tobytes() == conv_backward(ref, conv_forward(ref, x)[1], dy).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64, 96])
+def test_curve_encoder_matches_the_reference_pass_byte_for_byte(batch):
+    rng = substream(batch, "curve-inputs")
+    enc, ref = (CurveEncoder("e", 50, substream(batch, "curve-encoder")) for _ in range(2))
+    curves = _signed_inputs(rng, (batch, 50), 30.0)
+    dz = _signed_inputs(rng, (batch, 8), 1.0)
+    z, cache = enc.forward(curves, flat1=enc.unroll(curves))
+    enc.backward(cache, dz)
+    assert z.tobytes() == curve_encoder_pass(ref, curves, dz).tobytes()
+    for p, q in zip(enc.params(), ref.params()):
+        assert p.grad.tobytes() == q.grad.tobytes(), p.name
+    z_only, (_, m1, _, m2) = enc.forward(curves, grad=False)
+    assert z_only.tobytes() == z.tobytes() and m1 is None and m2 is None
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ from oracle import (
     features,
     grad_check,
     history_inputs,
+    nll_with_grads,
 )
 
 from graybo.core import History, Observation, encode, sample_pipeline
+from graybo.costmodel import CostPredictor
 from graybo.optimizer import TuneConfig, tune
 from graybo.rng import substream
 from graybo.surrogate import (
@@ -154,6 +156,25 @@ def test_gram_is_byte_identical_to_kernel_matrix_plus_noise(n, scale):
     K = gram(Z, k, k.noise_var, out=buf)
     assert np.shares_memory(K, buf)
     assert np.ascontiguousarray(K).tobytes() == expected
+    buf[:n, :n] = stale[:n, :n]
+    assert np.array_equal(buf, stale)
+
+
+@pytest.mark.parametrize("n", [1, GRAM_BLOCK - 1, GRAM_BLOCK + 1, 3 * GRAM_BLOCK + 5])
+@pytest.mark.parametrize("noise", [0.3, 0.0])
+def test_lower_gram_matches_the_full_gram_below_the_diagonal(n, noise):
+    rng = substream(n, "lower-gram")
+    k = KernelParams(log_lengthscale=0.4, log_signal_var=-0.3)
+    Z = rng.standard_normal((n, 32))
+    Z[n // 2] = Z[0]  # a repeated row: without noise the factor needs jitter
+    full = gram(Z, k, noise)
+    buf = rng.standard_normal((n + 7, n + 7))
+    stale = buf.copy()
+    low = gram(Z, k, noise, out=buf, lower=True)
+    assert np.tril(low).tobytes() == np.tril(full).tobytes()
+    L_full, jitter_full = _chol_with_jitter(full)
+    L_low, jitter_low = _chol_with_jitter(low)
+    assert L_low.tobytes() == L_full.tobytes() and jitter_low == jitter_full
     buf[:n, :n] = stale[:n, :n]
     assert np.array_equal(buf, stale)
 
@@ -301,6 +322,35 @@ def test_nll_gradients_match_finite_differences(ctx, small_space):
 
     floor = fd_noise_floor(loss_fn())
     assert grad_check(gp.params(), loss_fn, grad_fn, noise_floor=floor) <= 1e-4
+
+
+@pytest.mark.parametrize("n_pipelines, epochs", [(1, 1), (4, 3), (24, 4)])
+def test_nll_with_grads_matches_the_plain_kernel_block(ctx, small_space, n_pipelines, epochs):
+    rng = substream(n_pipelines, "nll-bytes")
+    inputs, y, _ = history_inputs(
+        _history(rng, n_pipelines, epochs), _encodings(small_space, rng, n_pipelines), ctx
+    )
+    gp, ref = (DeepKernelGP(ctx, substream(21, "gp")) for _ in range(2))
+    for model in (gp, ref):
+        model.set_normalization(y)
+        # short enough that K is far from rank one; sv != 1 so its products round
+        model.kernel.log_ls.values[...] = -0.7
+        model.kernel.log_sv.values[...] = 0.3
+    value = gp.nll_with_grads(inputs, y)
+    assert np.float64(value).tobytes() == np.float64(nll_with_grads(ref, inputs, y)).tobytes()
+    for p, q in zip(gp.params(), ref.params()):
+        assert p.grad.tobytes() == q.grad.tobytes(), p.name
+
+
+def test_forward_only_latents_equal_the_gradient_pass_latents(ctx, small_space):
+    rng = substream(22, "forward-only")
+    inputs, _, _ = history_inputs(_history(rng, 24, 4), _encodings(small_space, rng, 24), ctx)
+    gp = DeepKernelGP(ctx, substream(23, "gp"))
+    z, _ = gp.fx.forward(inputs, grad=True)
+    assert gp.features_batch(inputs).tobytes() == z.tobytes()
+    cp = CostPredictor(ctx, substream(24, "cp"))
+    raw, _ = cp.head.forward(cp.fx.forward(inputs, grad=True)[0])
+    assert cp.raw_batch(inputs).tobytes() == raw[:, 0].tobytes()
 
 
 def test_normalization_round_trip(ctx):
@@ -516,7 +566,30 @@ def _scipy_threads():
 
 @needs_scipy_openblas
 def test_scipy_blas_runs_on_one_thread_after_import():
+    # this module loaded scipy's library itself, after graybo; graybo's
+    # first solve sets the pool
+    solve_lower(np.eye(1), np.ones(1))
     assert _scipy_threads() == 1
+
+
+@needs_scipy_openblas
+def test_first_solve_loads_scipy_lapack_on_one_thread():
+    # a fresh interpreter: importing graybo loads no scipy LAPACK, and the
+    # first solve leaves scipy's pool at one thread, not OPENBLAS_NUM_THREADS
+    probe = (
+        "import sys, numpy, scipy\n"
+        "from graybo import surrogate\n"
+        "loaded = 'scipy.linalg' in sys.modules\n"
+        "surrogate.solve_lower(numpy.eye(2), numpy.ones(2))\n"
+        "get, _ = surrogate.bundled_openblas_threads(surrogate._libs_dir(scipy))\n"
+        "print(loaded, get())\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["False", "1"]
 
 
 @needs_scipy_openblas
@@ -545,6 +618,7 @@ def test_numpy_blas_pool_is_left_alone():
 @needs_scipy_openblas
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_fork_child_inherits_single_thread_scipy_blas():
+    solve_lower(np.eye(1), np.ones(1))  # as a forking command loads LAPACK first
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:  # child
