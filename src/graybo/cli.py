@@ -27,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import benchtab, evalkit, metalearn
 from .acquisition import load_erfc
 from .core import SearchSpace, load_space, save_space, space_from_dict
+from .neural import NonFiniteGradientError
 from .optimizer import RunTrace, TuneConfig, tune
 from .surrogate import SingularKernelError, load_lapack
 
@@ -488,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SingularKernelError, FloatingPointError) as exc:
+    except (SingularKernelError, NonFiniteGradientError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (benchtab.MetaDatasetFormatError, ValueError) as exc:

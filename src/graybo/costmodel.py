@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .neural import Dense, FitReport, ParamBlock
+from .neural import Dense, FitReport, ParamBlock, ParamVector
 from .surrogate import LATENT_WIDTH, FeatureExtractor, PredictorContext, PredictorInputs
 
 STEP_COST_FLOOR = 1e-6
@@ -56,6 +56,7 @@ class CostPredictor:
         self.ctx = ctx
         self.fx = FeatureExtractor(ctx, rng, name="cost")
         self.head = Dense("cost.head", LATENT_WIDTH, 1, rng)
+        self.vector = ParamVector(self.params())
 
     def params(self) -> list[ParamBlock]:
         return self.fx.params() + self.head.params()
@@ -87,11 +88,9 @@ class CostPredictor:
         pred[seen] = c + self.ctx.dt * c / prev[seen]
         return pred
 
-    def mse_with_grads(
-        self, inputs: PredictorInputs, costs: np.ndarray, flat1: np.ndarray | None = None
-    ) -> float:
+    def mse_with_grads(self, inputs: PredictorInputs, costs: np.ndarray) -> float:
         """Mean squared error in log1p space; gradients accumulate into blocks."""
-        z, trace = self.fx.forward(inputs, flat1=flat1)
+        z, trace = self.fx.forward(inputs)
         raw, head_cache = self.head.forward(z)
         raw = raw[:, 0]
         target = np.log1p(np.asarray(costs, dtype=np.float64))

@@ -11,6 +11,7 @@ same evaluations but selects nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -223,8 +224,17 @@ def meta_train(
 
     Gradient steps only ever touch meta-train datasets; the validation fold
     is read for its fixed scoring batches and test-fold tables are never
-    accessed.
+    accessed.  ``eval_every``, ``batch_size`` and ``dt`` below 1, or an
+    ``lr`` that is not finite and positive, raise ``ValueError``.
     """
+    if eval_every < 1:
+        raise ValueError(f"eval_every (--eval-every) must be >= 1, got {eval_every}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size (--batch) must be >= 1, got {batch_size}")
+    if dt < 1:
+        raise ValueError(f"dt (--dt) must be >= 1, got {dt}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr (--lr) must be finite and > 0, got {lr}")
     train_ids = split.train_ids
     if not train_ids:
         raise ValueError("meta-train folds are empty")
@@ -243,8 +253,8 @@ def meta_train(
 
     gp = DeepKernelGP(ctx_proto, substream(seed, "metatrain", "surrogate-init"))
     cp = CostPredictor(ctx_proto, substream(seed, "metatrain", "cost-init"))
-    adam_gp = Adam(gp.params(), lr)
-    adam_cp = Adam(cp.params(), lr)
+    adam_gp = Adam(gp.vector, lr)
+    adam_cp = Adam(cp.vector, lr)
 
     val_rng = substream(seed, "metatrain", "val-cells")
     val_batches = []
@@ -295,10 +305,9 @@ def meta_train(
         eps = iter_rng.integers(1, n_epochs + 1, size=batch_size)
         inputs, y, c = cache.cell_batch(pis, eps)
         gp.y_mean, gp.y_std = cache.y_mean, cache.y_std
-        flat1 = gp.fx.curve_encoder.unroll(inputs.curves)  # read-only, shared by both predictors
         try:
             adam_gp.zero_grad()
-            gp.nll_with_grads(inputs, y, flat1=flat1)
+            gp.nll_with_grads(inputs, y)
             adam_gp.step()
             consecutive_skips = 0
         except SingularKernelError:
@@ -308,7 +317,7 @@ def meta_train(
                     f"meta-training aborted: {consecutive_skips} singular batches in a row"
                 )
         adam_cp.zero_grad()
-        cp.mse_with_grads(inputs, c, flat1=flat1)
+        cp.mse_with_grads(inputs, c)
         adam_cp.step()
 
         if ran % eval_every == 0:
@@ -332,7 +341,7 @@ def meta_train(
         initial_val_nll=initial_val,
         best_val_nll=best_val,
         stopped_early=stopped_early,
-        iterations_run=ran if iters > 0 else 0,
+        iterations_run=ran,
     )
 
 

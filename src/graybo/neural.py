@@ -4,10 +4,12 @@ Fixed architectures only: dense layers, 1-D convolutions, softplus, mean
 pooling, Adam, and the best-state fit loop (``fit_best``) that the GP
 trains with.  Every layer exposes ``forward(x) -> (y, cache)`` and
 ``backward(cache, dy) -> dx`` with parameter gradients accumulated into
-the owning :class:`ParamBlock`.  All arithmetic is float64.  A network's
-``forward(..., grad=False)`` skips the softplus derivatives, which only
-``backward`` reads.  Softplus and the convolutions work in place, but
-every result is the bytes of the plain expressions in ``tests/oracle.py``.
+the owning :class:`ParamBlock`; a predictor's blocks are views of its one
+:class:`ParamVector`, which Adam and ``fit_best`` update whole.  All
+arithmetic is float64.  A network's ``forward(..., grad=False)`` skips the
+softplus derivatives, which only ``backward`` reads.  Softplus and the
+convolutions work in place, but every result is the bytes of the plain
+expressions in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -43,8 +45,25 @@ class ParamBlock:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+
+class ParamVector:
+    """Parameter blocks whose ``values`` and ``grad`` are rebound as views of
+    one flat ``values`` and one flat ``grad`` array, in the given order.
+
+    Build one per predictor: a second vector over the same blocks would
+    re-home them and leave the first one, and any Adam holding it, stale.
+    """
+
+    def __init__(self, blocks: Sequence[ParamBlock]) -> None:
+        self.blocks = list(blocks)
+        self.values = np.concatenate([b.values.ravel() for b in self.blocks])
+        self.grad = np.concatenate([b.grad.ravel() for b in self.blocks])
+        lo = 0
+        for b in self.blocks:
+            shape, hi = b.shape, lo + b.values.size
+            b.values = self.values[lo:hi].reshape(shape)
+            b.grad = self.grad[lo:hi].reshape(shape)
+            lo = hi
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -144,13 +163,10 @@ class Conv1d:
             windows[:, :, j, out] = x[:, :, src]
         return windows.reshape(batch, self.c_in * self.width, length)
 
-    def forward(self, x: np.ndarray, flat: np.ndarray | None = None):
-        """``flat`` may carry a precomputed ``unroll(x)`` (inputs that stay
-        constant across many parameter updates)."""
+    def forward(self, x: np.ndarray):
         if x.shape[1] != self.c_in:
             raise ValueError(f"{self.W.name}: channel count {x.shape[1]} != {self.c_in}")
-        if flat is None:
-            flat = self.unroll(x)
+        flat = self.unroll(x)
         w_mat = self.W.values.reshape(self.c_out, self.c_in * self.width)
         y = np.matmul(w_mat, flat)
         y += self.b.values[None, :, None]
@@ -235,14 +251,10 @@ class CurveEncoder:
     def params(self) -> list[ParamBlock]:
         return self.conv1.params() + self.conv2.params()
 
-    def unroll(self, curves: np.ndarray) -> np.ndarray:
-        return self.conv1.unroll(curves[:, None, :])
-
-    def forward(self, curves: np.ndarray, flat1: np.ndarray | None = None, grad: bool = True):
+    def forward(self, curves: np.ndarray, grad: bool = True):
         if curves.shape[1] != self.n_epochs:
             raise ValueError(f"curve length {curves.shape[1]} != {self.n_epochs}")
-        x = curves[:, None, :]
-        h1, c1 = self.conv1.forward(x, flat=flat1)
+        h1, c1 = self.conv1.forward(curves[:, None, :])
         a1, m1 = softplus(h1, grad)
         h2, c2 = self.conv2.forward(a1)
         a2, m2 = softplus(h2, grad)
@@ -259,48 +271,38 @@ class CurveEncoder:
 
 
 class Adam:
-    """Bias-corrected Adam over a list of ParamBlocks.
-
-    Moments live in one flat buffer (a single vectorized update per step);
-    refuses to apply a step when any gradient is non-finite.
+    """Bias-corrected Adam over a :class:`ParamVector`: one vectorized
+    update of the whole vector per step; refuses to apply a step when any
+    gradient is non-finite.
     """
 
     def __init__(
         self,
-        params: Sequence[ParamBlock],
+        vector: ParamVector,
         lr: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        if lr < 0:
+        if not lr >= 0:
             raise ValueError("learning rate must be >= 0")
-        self.params = list(params)
+        self.vector = vector
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        sizes = [p.values.size for p in self.params]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self._slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(sizes))]
-        total = int(offsets[-1])
-        self._m = np.zeros(total)
-        self._v = np.zeros(total)
-        self._g = np.empty(total)
+        self._m = np.zeros_like(vector.values)
+        self._v = np.zeros_like(vector.values)
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self.vector.grad[...] = 0.0
 
     def step(self) -> None:
-        g = self._g
-        for p, sl in zip(self.params, self._slices):
-            g[sl] = p.grad.reshape(-1)
-        if not np.all(np.isfinite(g)):
-            for p in self.params:
-                if not np.all(np.isfinite(p.grad)):
-                    raise NonFiniteGradientError(f"non-finite gradient in {p.name}")
+        g = self.vector.grad
+        if not np.isfinite(g).all():
+            name = next(b.name for b in self.vector.blocks if not np.isfinite(b.grad).all())
+            raise NonFiniteGradientError(f"non-finite gradient in {name}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
@@ -309,9 +311,7 @@ class Adam:
         self._m += (1.0 - self.beta1) * g
         self._v *= self.beta2
         self._v += (1.0 - self.beta2) * g**2
-        delta = self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
-        for p, sl in zip(self.params, self._slices):
-            p.values -= delta[sl].reshape(p.values.shape)
+        self.vector.values -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
 
 
 @dataclass
@@ -325,13 +325,8 @@ class FitReport:
     rolled_back: bool = False
 
 
-def _restore(params: Sequence[ParamBlock], state: Sequence[np.ndarray]) -> None:
-    for p, saved in zip(params, state):
-        p.values[...] = saved
-
-
 def fit_best(
-    params: Sequence[ParamBlock],
+    vector: ParamVector,
     loss_and_grads: Callable[[], float],
     loss: Callable[[], float],
     steps: int,
@@ -340,16 +335,16 @@ def fit_best(
     """Full-batch Adam from the current parameters, keeping the best seen.
 
     ``loss_and_grads`` evaluates the objective and accumulates its gradient
-    into ``params``; ``loss`` evaluates it alone.  A non-finite loss or
+    into ``vector``; ``loss`` evaluates it alone.  A non-finite loss or
     gradient puts the parameters back as they were before the fit.
     Otherwise the parameters with the lowest loss seen are kept, so the
     final loss never exceeds the initial one.  With ``steps == 0`` the
     parameters are left as they are.
     """
-    pre_fit = [p.values.copy() for p in params]
-    adam = Adam(params, lr)
+    pre_fit = vector.values.copy()
+    best_state = np.empty_like(pre_fit)
+    adam = Adam(vector, lr)
     best_val = math.inf
-    best_state: list[np.ndarray] | None = None
     initial = math.nan
     for step in range(steps):
         adam.zero_grad()
@@ -357,19 +352,19 @@ def fit_best(
         if step == 0:
             initial = val
         if not math.isfinite(val):
-            _restore(params, pre_fit)
+            vector.values[...] = pre_fit
             return FitReport(initial, initial, step, rolled_back=True)
         if val < best_val:
             best_val = val
-            best_state = [p.values.copy() for p in params]
+            best_state[...] = vector.values
         try:
             adam.step()
         except NonFiniteGradientError:
-            _restore(params, pre_fit)
+            vector.values[...] = pre_fit
             return FitReport(initial, initial, step, rolled_back=True)
     final = loss()
-    if best_state is not None and not (math.isfinite(final) and final <= best_val):
-        _restore(params, best_state)
+    if best_val < math.inf and not (math.isfinite(final) and final <= best_val):
+        vector.values[...] = best_state
         final = best_val
     return FitReport(initial, final, steps)
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from .core import EncodedPipeline, MetaFeatures, SearchSpace
-from .neural import CurveEncoder, Dense, FitReport, MLP, ParamBlock, fit_best
+from .neural import CurveEncoder, Dense, FitReport, MLP, ParamBlock, ParamVector, fit_best
 
 
 def bundled_openblas_threads(libs_dir: str):
@@ -261,9 +261,9 @@ class FeatureExtractor:
     def params(self) -> list[ParamBlock]:
         return self.model_embed.params() + self.curve_encoder.params() + self.trunk.params()
 
-    def forward(self, inputs: PredictorInputs, flat1: np.ndarray | None = None, grad: bool = True):
+    def forward(self, inputs: PredictorInputs, grad: bool = True):
         e_model, c_model = self.model_embed.forward(inputs.model_onehot)
-        e_curve, c_curve = self.curve_encoder.forward(inputs.curves, flat1=flat1, grad=grad)
+        e_curve, c_curve = self.curve_encoder.forward(inputs.curves, grad=grad)
         tfrac = inputs.epoch[:, None] / self.ctx.n_epochs
         x = np.concatenate([inputs.hp, tfrac, inputs.meta, e_model, e_curve], axis=1)
         z, c_trunk = self.trunk.forward(x, grad=grad)
@@ -428,6 +428,7 @@ class DeepKernelGP:
         self.ctx = ctx
         self.fx = FeatureExtractor(ctx, rng, name="surrogate")
         self.kernel = KernelParams()
+        self.vector = ParamVector(self.params())
         self.y_mean = 0.0
         self.y_std = 1.0
 
@@ -499,12 +500,10 @@ class DeepKernelGP:
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         return 0.5 * float(w @ w) + 0.5 * logdet + 0.5 * n * math.log(2.0 * math.pi)
 
-    def nll_with_grads(
-        self, inputs: PredictorInputs, y: np.ndarray, flat1: np.ndarray | None = None
-    ) -> float:
+    def nll_with_grads(self, inputs: PredictorInputs, y: np.ndarray) -> float:
         """Full-batch NLL; accumulates gradients into every parameter block
         (kernel parameters analytically, network weights by backprop)."""
-        z, trace = self.fx.forward(inputs, flat1=flat1)
+        z, trace = self.fx.forward(inputs)
         y_n = self.normalize(y)
         n = len(y_n)
         if not np.all(np.isfinite(z)):
@@ -568,10 +567,9 @@ class DeepKernelGP:
         if len(y) == 0:
             return FitReport(math.nan, math.nan, 0)
         self.set_normalization(y)
-        flat1 = self.fx.curve_encoder.unroll(inputs.curves) if steps > 0 else None
         return fit_best(
-            self.params(),
-            lambda: self.nll_with_grads(inputs, y, flat1=flat1),
+            self.vector,
+            lambda: self.nll_with_grads(inputs, y),
             lambda: self.nll(self.features_batch(inputs), y),
             steps,
             lr,

@@ -156,8 +156,7 @@ def test_criterion_1_gradient_correctness():
                 return gp.nll(gp.features_batch(inputs), y)
 
             def nll_grads():
-                for p in gp.params():
-                    p.zero_grad()
+                gp.vector.grad[...] = 0.0
                 gp.nll_with_grads(inputs, y)
 
             err = grad_check(gp.params(), nll, nll_grads, noise_floor=fd_noise_floor(nll()))
@@ -169,8 +168,7 @@ def test_criterion_1_gradient_correctness():
                 return log_cost_mse(cp.raw_batch(inputs), costs)
 
             def mse_grads():
-                for p in cp.params():
-                    p.zero_grad()
+                cp.vector.grad[...] = 0.0
                 cp.mse_with_grads(inputs, costs)
 
             err = grad_check(cp.params(), mse, mse_grads, noise_floor=fd_noise_floor(mse()))

@@ -177,22 +177,44 @@ def test_metatrain_deterministic(bench_dir, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_metatrain_bad_val_fold(bench_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag, named",
+    [
+        (["--val-fold", "7"], "--val-fold"),
+        (["--eval-every", "0"], "eval_every (--eval-every)"),
+        (["--batch", "0"], "batch_size (--batch)"),
+        (["--dt", "0"], "dt (--dt)"),
+        (["--lr", "nan"], "lr (--lr)"),
+        (["--lr", "0"], "lr (--lr)"),
+        (["--lr", "inf"], "lr (--lr)"),
+    ],
+    ids=["val-fold-7", "eval-every-0", "batch-0", "dt-0", "lr-nan", "lr-0", "lr-inf"],
+)
+def test_metatrain_bad_val_fold(bench_dir, tmp_path, capsys, flag, named):
     args = [
         "metatrain",
         "--bench",
         str(bench_dir),
         "--folds",
         "4",
-        "--val-fold",
-        "7",
         "--iters",
-        "0",
+        "3",
         "--out",
         str(tmp_path / "x.json"),
+        *flag,
     ]
     assert main(args) == 2
-    assert "--val-fold" in capsys.readouterr().err
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_metatrain_divergence_is_a_numeric_failure(bench_dir, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    args = ["metatrain", "--bench", str(bench_dir), "--folds", "4", "--iters", "5", "--lr", "1e300"]
+    assert main([*args, "--out", str(out)]) == 5
+    assert "numeric failure: non-finite gradient in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_fit_learns_linear_cost_table(ctx, small_space):
     cp = CostPredictor(ctx, substream(3, "cp"))
     pre_inputs, _, pre_costs = history_inputs(_linear_history(6, 8, 3.0), encs, ctx)
     fit_best(
-        cp.params(),
+        cp.vector,
         lambda: cp.mse_with_grads(pre_inputs, pre_costs),
         lambda: log_cost_mse(cp.raw_batch(pre_inputs), pre_costs),
         3000,
@@ -174,8 +174,7 @@ def test_gradients_match_finite_differences(ctx, small_space):
         return log_cost_mse(cp.raw_batch(inputs), costs)
 
     def grad_fn():
-        for p in cp.params():
-            p.zero_grad()
+        cp.vector.grad[...] = 0.0
         cp.mse_with_grads(inputs, costs)
 
     floor = fd_noise_floor(loss_fn())

@@ -4,8 +4,9 @@ command's start-up) when it is imported, commands that never solve or
 score leave ``scipy.linalg`` and ``scipy.special`` unloaded and forking
 commands that solve load them before forking, ``import graybo`` keeps the heap
 top, so meta-training does not fault its pages back in every iteration,
-``PredictorInputs`` is built in ``surrogate.Encodings.inputs`` only and
-``RunTrace`` in ``optimizer._RunState.trace`` only."""
+``PredictorInputs`` is built in ``surrogate.Encodings.inputs`` only,
+``RunTrace`` in ``optimizer._RunState.trace`` only and ``ParamVector`` in the
+two predictors' constructors only."""
 
 import ast
 import ctypes
@@ -184,12 +185,15 @@ def test_predictor_inputs_are_gathered_in_one_function():
     # every predictor input row comes from surrogate.Encodings.inputs, so the
     # training, candidate, meta-train and zero-shot rows follow one
     # visibility rule; likewise every trace is built from a run-state's rows
-    # in _RunState.trace.  A second place that builds either fails here
+    # in _RunState.trace.  Each predictor builds its one ParamVector: a
+    # second vector over the same blocks would re-home them and leave the
+    # first, and any Adam holding it, stale.  Another builder fails here
     sole_builders = {
-        "PredictorInputs": "surrogate.Encodings.inputs",
-        "RunTrace": "optimizer._RunState.trace",
+        "PredictorInputs": {"surrogate.Encodings.inputs"},
+        "RunTrace": {"optimizer._RunState.trace"},
+        "ParamVector": {"surrogate.DeepKernelGP.__init__", "costmodel.CostPredictor.__init__"},
     }
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    for callee, builder in sole_builders.items():
+    for callee, builders in sole_builders.items():
         sites = {f"{stem}.{fn}" for stem, tree in trees.items() for fn in _calls_by_function(tree, callee)}
-        assert sites == {builder}, callee
+        assert sites == builders, callee

@@ -26,6 +26,7 @@ from graybo.neural import (
     MLP,
     NonFiniteGradientError,
     ParamBlock,
+    ParamVector,
     blocks_to_payload,
     fit_best,
     load_into_blocks,
@@ -33,7 +34,7 @@ from graybo.neural import (
     softplus,
 )
 from graybo.rng import substream
-from graybo.surrogate import DeepKernelGP, PredictorContext
+from graybo.surrogate import LATENT_WIDTH, DeepKernelGP, PredictorContext
 
 
 def _mlp(seed=0, widths=(6, 32, 32, 1)):
@@ -98,8 +99,8 @@ def test_scalar_product_gradient():
     layer.b.values[...] = 0.0
     x = np.array([[2.0]])
     _, cache = layer.forward(x)
-    layer.W.zero_grad()
-    layer.b.zero_grad()
+    layer.W.grad[...] = 0.0
+    layer.b.grad[...] = 0.0
     layer.backward(cache, np.array([[1.0]]))
     assert layer.W.grad[0, 0] == 2.0
 
@@ -116,7 +117,7 @@ def test_mlp_gradients_match_finite_differences():
 
     def grad_fn():
         for p in net.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         y, cache = net.forward(x)
         net.backward(cache, 2.0 * (y - target))
 
@@ -133,7 +134,7 @@ def test_linear_network_gradients_near_exact():
 
     def grad_fn():
         for p in layer.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         _, cache = layer.forward(x)
         layer.backward(cache, np.ones((6, 1)))
 
@@ -146,11 +147,11 @@ def test_doubling_upstream_gradient_doubles_parameter_gradients():
     y, cache = net.forward(x)
     dy = substream(13, "dy").standard_normal(y.shape)
     for p in net.params():
-        p.zero_grad()
+        p.grad[...] = 0.0
     net.backward(cache, dy)
     g1 = [p.grad.copy() for p in net.params()]
     for p in net.params():
-        p.zero_grad()
+        p.grad[...] = 0.0
     y, cache = net.forward(x)
     net.backward(cache, 2.0 * dy)
     for p, g in zip(net.params(), g1):
@@ -169,7 +170,7 @@ def test_conv_gradients_match_finite_differences():
 
     def grad_fn():
         for p in enc.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         z, cache = enc.forward(curves)
         enc.backward(cache, 2.0 * (z - target))
 
@@ -186,7 +187,7 @@ def test_grad_check_deterministic():
 
     def grad_fn():
         for p in net.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
         y, cache = net.forward(x)
         net.backward(cache, 2.0 * y)
 
@@ -277,7 +278,7 @@ def test_curve_encoder_matches_the_reference_pass_byte_for_byte(batch):
     enc, ref = (CurveEncoder("e", 50, substream(batch, "curve-encoder")) for _ in range(2))
     curves = _signed_inputs(rng, (batch, 50), 30.0)
     dz = _signed_inputs(rng, (batch, 8), 1.0)
-    z, cache = enc.forward(curves, flat1=enc.unroll(curves))
+    z, cache = enc.forward(curves)
     enc.backward(cache, dz)
     assert z.tobytes() == curve_encoder_pass(ref, curves, dz).tobytes()
     for p, q in zip(enc.params(), ref.params()):
@@ -292,8 +293,8 @@ def test_curve_encoder_matches_the_reference_pass_byte_for_byte(batch):
 
 def test_adam_zero_gradient_keeps_parameters():
     p = ParamBlock("p", np.array([1.0, -2.0]))
-    opt = Adam([p], lr=1e-2)
-    p.zero_grad()
+    opt = Adam(ParamVector([p]), lr=1e-2)
+    p.grad[...] = 0.0
     opt.step()
     assert np.array_equal(p.values, [1.0, -2.0])
     assert opt.step_count == 1
@@ -301,7 +302,7 @@ def test_adam_zero_gradient_keeps_parameters():
 
 def test_adam_first_step_closed_form():
     p = ParamBlock("p", np.array(0.0))
-    opt = Adam([p], lr=1e-4)
+    opt = Adam(ParamVector([p]), lr=1e-4)
     p.grad[...] = 0.3
     opt.step()
     expected = -1e-4 * 0.3 / (0.3 + 1e-8)
@@ -311,8 +312,8 @@ def test_adam_first_step_closed_form():
 def test_adam_opposite_gradients_give_opposite_updates():
     a = ParamBlock("a", np.array([0.0]))
     b = ParamBlock("b", np.array([0.0]))
-    opt_a = Adam([a], lr=1e-3)
-    opt_b = Adam([b], lr=1e-3)
+    opt_a = Adam(ParamVector([a]), lr=1e-3)
+    opt_b = Adam(ParamVector([b]), lr=1e-3)
     a.grad[...] = 0.7
     b.grad[...] = -0.7
     opt_a.step()
@@ -323,19 +324,54 @@ def test_adam_opposite_gradients_give_opposite_updates():
 
 def test_adam_zero_lr_keeps_parameters():
     p = ParamBlock("p", np.array([3.0]))
-    opt = Adam([p], lr=0.0)
+    opt = Adam(ParamVector([p]), lr=0.0)
     p.grad[...] = 5.0
     opt.step()
     assert p.values.item() == 3.0
 
 
+@pytest.mark.parametrize("lr", [-1.0, math.nan])
+def test_adam_rejects_a_negative_or_nan_learning_rate(lr):
+    with pytest.raises(ValueError):
+        Adam(ParamVector([ParamBlock("p", np.array([1.0]))]), lr=lr)
+
+
 def test_adam_rejects_non_finite_gradient():
-    p = ParamBlock("p", np.array([1.0]))
-    opt = Adam([p], lr=1e-3)
-    p.grad[...] = np.nan
-    with pytest.raises(NonFiniteGradientError):
+    a = ParamBlock("a", np.array([1.0, 2.0]))
+    b = ParamBlock("b", np.array([[3.0], [4.0]]))
+    vector = ParamVector([a, b])
+    opt = Adam(vector, lr=1e-3)
+    a.grad[...] = 1.0
+    b.grad[1, 0] = np.nan
+    with pytest.raises(NonFiniteGradientError, match="in b$"):
         opt.step()
-    assert p.values.item() == 1.0
+    assert np.array_equal(vector.values, [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(a.values, [1.0, 2.0]) and np.array_equal(b.values, [[3.0], [4.0]])
+
+
+def test_param_vector_views_share_the_blocks_storage(small_space, meta_features):
+    # the predictors' blocks are views of their vector, so writes through a
+    # block (a checkpoint load, the closed-form head refit) land in it
+    ctx = PredictorContext.from_space(small_space, meta_features, 10, 1)
+    cp = CostPredictor(ctx, substream(40, "vector"))
+    assert [b.name for b in cp.vector.blocks] == [b.name for b in cp.params()]
+    other = CostPredictor(ctx, substream(41, "vector"))
+    load_into_blocks(cp.params(), {b.name: b.values for b in other.params()})
+    assert cp.vector.values.tobytes() == other.vector.values.tobytes()
+    h = History()
+    for pid in range(3):
+        for ep in range(1, 4):
+            h.append(Observation(pid, ep, 0.5, 2.0 * ep + pid))
+    rng = substream(42, "vector")
+    encs = {pid: encode(sample_pipeline(small_space, rng), small_space) for pid in range(3)}
+    inputs, _, costs = history_inputs(h, encs, ctx)
+    before = cp.vector.values.copy()
+    report = cp.fit(inputs, costs, cp.head_vector())
+    assert report.steps == 1 and not report.rolled_back
+    head = len(cp.vector.values) - (LATENT_WIDTH + 1)
+    assert np.array_equal(cp.vector.values[:head], before[:head])
+    assert np.array_equal(cp.vector.values[head:], cp.head_vector())
+    assert not np.array_equal(cp.vector.values[head:], before[head:])
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +397,31 @@ class _Scripted:
 
 
 def _block():
-    return ParamBlock("p", np.array([1.0, -2.0]))
+    p = ParamBlock("p", np.array([1.0, -2.0]))
+    return p, ParamVector([p])
 
 
 def test_fit_best_rolls_back_on_a_non_finite_loss_at_step_k():
-    p = _block()
+    p, vector = _block()
     objective = _Scripted(p, [5.0, 3.0, math.nan, 1.0])
-    report = fit_best([p], objective, lambda: 0.0, steps=4, lr=0.1)
+    report = fit_best(vector, objective, lambda: 0.0, steps=4, lr=0.1)
     assert (report.initial, report.final, report.steps, report.rolled_back) == (5.0, 5.0, 2, True)
     assert np.array_equal(p.values, [1.0, -2.0])
     assert not np.array_equal(objective.seen[2], [1.0, -2.0])  # it had moved
 
 
 def test_fit_best_rolls_back_on_a_non_finite_gradient():
-    p = _block()
+    p, vector = _block()
     objective = _Scripted(p, [5.0, 3.0, 2.0, 1.0], nan_grad_at=2)
-    report = fit_best([p], objective, lambda: 0.0, steps=4, lr=0.1)
+    report = fit_best(vector, objective, lambda: 0.0, steps=4, lr=0.1)
     assert (report.initial, report.final, report.steps, report.rolled_back) == (5.0, 5.0, 2, True)
     assert np.array_equal(p.values, [1.0, -2.0])
 
 
 def test_fit_best_keeps_the_best_state_when_the_final_loss_is_worse():
-    p = _block()
+    p, vector = _block()
     objective = _Scripted(p, [5.0, 3.0, 4.0, 6.0])
-    report = fit_best([p], objective, lambda: 10.0, steps=4, lr=0.1)
+    report = fit_best(vector, objective, lambda: 10.0, steps=4, lr=0.1)
     assert (report.initial, report.final, report.steps, report.rolled_back) == (5.0, 3.0, 4, False)
     assert np.array_equal(p.values, objective.seen[1])
 
