@@ -27,9 +27,11 @@ from concurrent.futures import ProcessPoolExecutor
 from . import benchtab, evalkit, metalearn
 from .acquisition import load_erfc
 from .core import SearchSpace, load_space, save_space, space_from_dict
+from .costmodel import CostPredictor
 from .neural import NonFiniteGradientError
 from .optimizer import RunTrace, TuneConfig, tune
-from .surrogate import SingularKernelError, load_lapack
+from .rng import substream
+from .surrogate import DeepKernelGP, PredictorContext, SingularKernelError, load_lapack
 
 log = logging.getLogger("graybo.cli")
 
@@ -293,6 +295,9 @@ def cmd_tune(args) -> int:
         raise UsageError(f"--ablate: unknown ablations {sorted(unknown)}")
     bench, space = _load_bench(args.bench)
     datasets = _parse_id_list(args.dataset, bench)
+    n_epochs = bench.md.n_epochs
+    if args.dt > n_epochs:
+        raise UsageError(f"--dt must lie in [1, {n_epochs}], got {args.dt}")
     use_meta = args.checkpoint is not None and "no-meta" not in ablate
     cfg_kwargs = dict(
         budget_seconds=args.budget_seconds,
@@ -310,6 +315,10 @@ def cmd_tune(args) -> int:
     cfgs = {s: TuneConfig(seed=s, **cfg_kwargs) for s in seeds}  # checked before --out exists
     checkpoint_path = args.checkpoint if use_meta else None
     checkpoint = metalearn.MetaCheckpoint.load(checkpoint_path) if use_meta else None
+    if checkpoint is not None:  # a missing or misshapen block fails here, not in the runs
+        ctx = PredictorContext.from_space(space, bench.view(datasets[0]).meta, n_epochs, args.dt)
+        rng = substream(0, "checkpoint-check")
+        checkpoint.apply_to(DeepKernelGP(ctx, rng), CostPredictor(ctx, rng))
     paths = _grid_out_paths(args.out, "tune", datasets, seeds)
     work = [
         (bench.view(d), space, checkpoint, checkpoint_path, cfgs[s], paths[(d, s)])

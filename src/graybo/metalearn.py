@@ -11,6 +11,8 @@ same evaluations but selects nothing.
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -20,15 +22,7 @@ import numpy as np
 from .benchtab import DatasetTable, MetaDataset
 from .core import SearchSpace, encode
 from .costmodel import CostPredictor, log_cost_mse
-from .neural import (
-    Adam,
-    CheckpointFormatError,
-    blocks_to_payload,
-    load_checkpoint,
-    load_into_blocks,
-    payload_to_arrays,
-    save_checkpoint,
-)
+from .neural import Adam
 from .rng import substream
 from .surrogate import (
     DeepKernelGP,
@@ -104,66 +98,113 @@ def split_folds(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: versioned JSON ("qtck-1") of base64 little-endian float64
+# blocks, the kernel's log-parameters as floats, and a "qtmeta-1" manifest
+
+
+class CheckpointFormatError(ValueError):
+    """Raised when a checkpoint fails schema validation."""
+
+
+KERNEL_KEYS = ("log_ls", "log_sv", "log_nv")  # the "kernel.*" blocks, as written
+
+
+def _field(obj, key: str, kinds, where: str):
+    """``obj[key]``, which must exist and be one of ``kinds`` (not a bool)."""
+    if not isinstance(obj, dict):
+        raise CheckpointFormatError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise CheckpointFormatError(f"{where}: missing key {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise CheckpointFormatError(f"{where}: {key!r} holds a {type(value).__name__}")
+    return value
+
+
+def _decode(entry) -> tuple[str, np.ndarray]:
+    name = _field(entry, "name", str, "block entry")
+    shape = _field(entry, "shape", list, f"block {name!r}")
+    raw = _field(entry, "values_b64_f64le", str, f"block {name!r}")
+    try:
+        flat = np.frombuffer(base64.b64decode(raw, validate=True), dtype="<f8")
+    except ValueError as exc:
+        raise CheckpointFormatError(f"block {name!r}: {exc}") from None
+    if not all(type(d) is int and d >= 0 for d in shape) or math.prod(shape) != flat.size:
+        raise CheckpointFormatError(f"block {name!r}: {flat.size} values do not fill shape {shape}")
+    return name, flat.astype(np.float64).reshape(shape)
 
 
 @dataclass
 class MetaCheckpoint:
-    """Meta-learned parameters for both predictors plus a training manifest."""
+    """Meta-learned parameters of both predictors, every block by name, plus
+    a training manifest."""
 
-    surrogate_arrays: dict[str, np.ndarray]
-    cost_arrays: dict[str, np.ndarray]
-    kernel: dict[str, float]
+    arrays: dict[str, np.ndarray]
     manifest: dict
 
     @classmethod
     def from_predictors(cls, gp: DeepKernelGP, cp: CostPredictor, manifest: dict) -> "MetaCheckpoint":
-        return cls(
-            surrogate_arrays={b.name: b.values.copy() for b in gp.fx.params()},
-            cost_arrays={b.name: b.values.copy() for b in cp.params()},
-            kernel=gp.kernel_dict(),
-            manifest=dict(manifest),
-        )
+        blocks = gp.vector.blocks + cp.vector.blocks
+        return cls({b.name: b.values.copy() for b in blocks}, dict(manifest))
+
+    def _load_into(self, blocks) -> None:
+        for b in blocks:
+            if b.name not in self.arrays:
+                raise CheckpointFormatError(f"checkpoint missing block {b.name!r}")
+            arr = self.arrays[b.name]
+            if arr.shape != b.shape:
+                raise CheckpointFormatError(f"block {b.name!r}: shape {arr.shape} != expected {b.shape}")
+            b.values[...] = arr
 
     def apply_to_surrogate(self, gp: DeepKernelGP) -> None:
-        load_into_blocks(gp.fx.params(), self.surrogate_arrays)
-        gp.load_kernel_dict(self.kernel)
+        self._load_into(gp.vector.blocks)
 
     def apply_to(self, gp: DeepKernelGP, cp: CostPredictor) -> None:
-        self.apply_to_surrogate(gp)
-        load_into_blocks(cp.params(), self.cost_arrays)
+        self._load_into(gp.vector.blocks + cp.vector.blocks)
 
     def to_payload(self) -> dict:
-        payload = blocks_to_payload({**self.surrogate_arrays, **self.cost_arrays})
-        payload["kernel"] = self.kernel
-        payload["manifest"] = self.manifest
-        return payload
-
-    def save(self, path: str) -> None:
-        save_checkpoint(path, self.to_payload())
+        blocks = [(n, a) for n, a in self.arrays.items() if not n.startswith("kernel.")]
+        return {
+            "format": "qtck-1",
+            "blocks": [
+                {
+                    "name": name,
+                    "shape": list(values.shape),
+                    "values_b64_f64le": base64.b64encode(values.astype("<f8").tobytes()).decode("ascii"),
+                }
+                for name, values in blocks
+            ],
+            "kernel": {k: float(self.arrays[f"kernel.{k}"]) for k in KERNEL_KEYS},
+            "manifest": self.manifest,
+        }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "MetaCheckpoint":
-        manifest = payload.get("manifest", {})
+    def from_payload(cls, payload) -> "MetaCheckpoint":
+        """Every malformed part raises :class:`CheckpointFormatError`; the
+        kernel floats are checked as the blocks are."""
+        if _field(payload, "format", str, "checkpoint") != "qtck-1":
+            raise CheckpointFormatError(f"unsupported checkpoint format {payload['format']!r}")
+        manifest = _field(payload, "manifest", dict, "checkpoint")
         if manifest.get("format") != "qtmeta-1":
-            raise CheckpointFormatError(
-                f"unsupported manifest format {manifest.get('format')!r}"
-            )
-        arrays = payload_to_arrays(payload)
-        surrogate = {n: a for n, a in arrays.items() if n.startswith("surrogate.")}
-        cost = {n: a for n, a in arrays.items() if n.startswith("cost.")}
-        if "kernel" not in payload:
-            raise CheckpointFormatError("checkpoint missing kernel block")
-        return cls(
-            surrogate_arrays=surrogate,
-            cost_arrays=cost,
-            kernel={k: float(v) for k, v in payload["kernel"].items()},
-            manifest=manifest,
-        )
+            raise CheckpointFormatError(f"unsupported manifest format {manifest.get('format')!r}")
+        arrays = dict(_decode(entry) for entry in _field(payload, "blocks", list, "checkpoint"))
+        kernel = _field(payload, "kernel", dict, "checkpoint")
+        for k in KERNEL_KEYS:
+            arrays[f"kernel.{k}"] = np.array(float(_field(kernel, k, (int, float), "kernel")))
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise CheckpointFormatError(f"block {name!r} holds non-finite values")
+        return cls(arrays, manifest)
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_payload(), fh)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path: str) -> "MetaCheckpoint":
-        return cls.from_payload(load_checkpoint(path))
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_payload(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

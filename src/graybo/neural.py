@@ -14,21 +14,15 @@ expressions in ``tests/oracle.py``.
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 
 class NonFiniteGradientError(RuntimeError):
     """Raised by the optimizer step when a gradient is NaN or infinite."""
-
-
-class CheckpointFormatError(ValueError):
-    """Raised when a parameter checkpoint fails schema validation."""
 
 
 class ParamBlock:
@@ -270,27 +264,22 @@ class CurveEncoder:
         self.conv1.backward(c1, da1 * m1, need_dx=False)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a :class:`ParamVector`: one vectorized
     update of the whole vector per step; refuses to apply a step when any
     gradient is non-finite.
     """
 
-    def __init__(
-        self,
-        vector: ParamVector,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, vector: ParamVector, lr: float) -> None:
         if not lr >= 0:
             raise ValueError("learning rate must be >= 0")
         self.vector = vector
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = np.zeros_like(vector.values)
         self._v = np.zeros_like(vector.values)
@@ -305,13 +294,13 @@ class Adam:
             raise NonFiniteGradientError(f"non-finite gradient in {name}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * g
-        self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * g**2
-        self.vector.values -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
+        self._m *= ADAM_BETA1
+        self._m += (1.0 - ADAM_BETA1) * g
+        self._v *= ADAM_BETA2
+        self._v += (1.0 - ADAM_BETA2) * g**2
+        self.vector.values -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -367,61 +356,3 @@ def fit_best(
         vector.values[...] = best_state
         final = best_val
     return FitReport(initial, final, steps)
-
-
-# ---------------------------------------------------------------------------
-# Parameter checkpoint ("qtck-1"): versioned JSON of base64 float64 blocks.
-
-
-def blocks_to_payload(arrays: Mapping[str, np.ndarray]) -> dict:
-    """The "qtck-1" payload of named arrays, in the mapping's order."""
-    return {
-        "format": "qtck-1",
-        "blocks": [
-            {
-                "name": name,
-                "shape": list(values.shape),
-                "values_b64_f64le": base64.b64encode(
-                    values.astype("<f8").tobytes()
-                ).decode("ascii"),
-            }
-            for name, values in arrays.items()
-        ],
-    }
-
-
-def payload_to_arrays(payload: dict) -> dict[str, np.ndarray]:
-    if payload.get("format") != "qtck-1":
-        raise CheckpointFormatError(f"unsupported checkpoint format {payload.get('format')!r}")
-    out: dict[str, np.ndarray] = {}
-    for entry in payload.get("blocks", []):
-        raw = base64.b64decode(entry["values_b64_f64le"])
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointFormatError(f"block {entry['name']!r} holds non-finite values")
-        out[entry["name"]] = arr
-    return out
-
-
-def load_into_blocks(blocks: Sequence[ParamBlock], arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into live blocks, matched by name."""
-    for b in blocks:
-        if b.name not in arrays:
-            raise CheckpointFormatError(f"checkpoint missing block {b.name!r}")
-        arr = arrays[b.name]
-        if tuple(arr.shape) != b.shape:
-            raise CheckpointFormatError(
-                f"block {b.name!r}: shape {tuple(arr.shape)} != expected {b.shape}"
-            )
-        b.values[...] = arr
-
-
-def save_checkpoint(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-
-
-def load_checkpoint(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

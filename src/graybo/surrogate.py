@@ -574,18 +574,3 @@ class DeepKernelGP:
             steps,
             lr,
         )
-
-    # -- persistence ----------------------------------------------------------
-
-    def kernel_dict(self) -> dict:
-        return {
-            "log_ls": float(self.kernel.log_ls.values),
-            "log_sv": float(self.kernel.log_sv.values),
-            "log_nv": float(self.kernel.log_nv.values),
-        }
-
-    def load_kernel_dict(self, payload: dict) -> None:
-        self.kernel.log_ls.values[...] = payload["log_ls"]
-        self.kernel.log_sv.values[...] = payload["log_sv"]
-        self.kernel.log_nv.values[...] = payload["log_nv"]
-

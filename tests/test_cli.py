@@ -333,12 +333,38 @@ def test_tune_refit_period_reaches_trace_flags(bench_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--fit-steps", "-3"], ["--fit-window", "0"]], ids=["fit-steps", "fit-window"]
+    "flag",
+    [["--fit-steps", "-3"], ["--fit-window", "0"], ["--dt", "7"]],
+    ids=["fit-steps", "fit-window", "dt-past-the-6-epoch-curves"],
 )
 def test_tune_rejects_negative_fit_steps_and_empty_fit_window(bench_dir, tmp_path, flag):
     out = tmp_path / "bad.json"
     assert main(_tune_args(bench_dir, out, extra=flag)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [("missing-block", "cost.head.b"), ("kernel-nan", "kernel.log_nv"), ("kernel-key", "log_nv")],
+)
+def test_tune_rejects_a_malformed_checkpoint_before_creating_out(bench_dir, tmp_path, capsys, case, named):
+    ck = tmp_path / "ck.json"
+    assert main(["metatrain", "--bench", str(bench_dir), "--folds", "4", "--iters", "0",
+                 "--out", str(ck)]) == 0
+    payload = json.load(open(ck))
+    if case == "missing-block":
+        payload["blocks"] = [b for b in payload["blocks"] if b["name"] != "cost.head.b"]
+    elif case == "kernel-nan":
+        payload["kernel"]["log_nv"] = float("nan")
+    else:
+        del payload["kernel"]["log_nv"]
+    ck.write_text(json.dumps(payload))
+    out = tmp_path / "runs"
+    for jobs in ("1", "2"):
+        args = _tune_args(bench_dir, out, seed="0,1", extra=["--checkpoint", str(ck), "--jobs", jobs])
+        assert main(args) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,9 @@ score leave ``scipy.linalg`` and ``scipy.special`` unloaded and forking
 commands that solve load them before forking, ``import graybo`` keeps the heap
 top, so meta-training does not fault its pages back in every iteration,
 ``PredictorInputs`` is built in ``surrogate.Encodings.inputs`` only,
-``RunTrace`` in ``optimizer._RunState.trace`` only and ``ParamVector`` in the
-two predictors' constructors only."""
+``RunTrace`` in ``optimizer._RunState.trace`` only, ``ParamVector`` in the
+two predictors' constructors only, and the checkpoint format in
+``metalearn`` only."""
 
 import ast
 import ctypes
@@ -197,3 +198,19 @@ def test_predictor_inputs_are_gathered_in_one_function():
     for callee, builders in sole_builders.items():
         sites = {f"{stem}.{fn}" for stem, tree in trees.items() for fn in _calls_by_function(tree, callee)}
         assert sites == builders, callee
+
+
+def test_checkpoint_format_lives_in_metalearn():
+    # one module writes and reads the checkpoint: another that spells its
+    # format tags or imports base64 holds a second copy of the format
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in ("qtck-1", "qtmeta-1"):
+                found.add((path.name, node.value))
+            elif isinstance(node, ast.alias) and node.name == "base64" or (
+                isinstance(node, ast.ImportFrom) and node.module == "base64"
+            ):
+                found.add((path.name, "base64"))
+    assert {module for module, _ in found} == {"metalearn.py"}, sorted(found)
+    assert {name for _, name in found} == {"qtck-1", "qtmeta-1", "base64"}

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from graybo.benchtab import DatasetTable, GeneratorConfig, generate
-from graybo.core import encode
+from graybo.core import SearchSpace, encode
 from graybo.costmodel import CostPredictor, log_cost_mse
 from graybo.metalearn import (
+    CheckpointFormatError,
     FoldSplit,
     _DatasetCache,
     MetaCheckpoint,
@@ -16,9 +17,8 @@ from graybo.metalearn import (
     split_folds,
     zero_shot_rank_eval,
 )
-from graybo.neural import load_into_blocks
 from graybo.rng import substream
-from graybo.surrogate import PredictorContext
+from graybo.surrogate import DeepKernelGP, PredictorContext
 
 import oracle
 
@@ -213,15 +213,112 @@ def test_checkpoint_round_trip_bitwise(micro_md, small_space, tmp_path):
     path = tmp_path / "ck.json"
     result.checkpoint.save(path)
     loaded = MetaCheckpoint.load(path)
-    for name, arr in result.checkpoint.surrogate_arrays.items():
-        assert np.array_equal(loaded.surrogate_arrays[name], arr)
-    for name, arr in result.checkpoint.cost_arrays.items():
-        assert np.array_equal(loaded.cost_arrays[name], arr)
-    assert loaded.kernel == result.checkpoint.kernel
+    assert loaded.arrays.keys() == result.checkpoint.arrays.keys()
+    for name, arr in result.checkpoint.arrays.items():
+        assert _same_bytes(loaded.arrays[name], arr), name
     assert loaded.manifest == result.checkpoint.manifest
     path2 = tmp_path / "ck2.json"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _predictors(space, meta, seed, n_models=None):
+    if n_models is not None:
+        space = SearchSpace(dims=space.dims, hub=space.hub[:n_models])
+    ctx = PredictorContext.from_space(space, meta, 8, 1)
+    return DeepKernelGP(ctx, substream(seed, "gp")), CostPredictor(ctx, substream(seed, "cp"))
+
+
+def _payload(small_space, meta_features):
+    gp, cp = _predictors(small_space, meta_features, 19)
+    return MetaCheckpoint.from_predictors(gp, cp, {"format": "qtmeta-1"}).to_payload()
+
+
+def test_checkpoint_payload_round_trip_bitwise(small_space, meta_features):
+    # every block of both predictors, the kernel's included, survives JSON
+    gp, cp = _predictors(small_space, meta_features, 19)
+    gp.kernel.log_ls.values[...] = 0.1  # not a float that JSON rounds to
+    ckpt = MetaCheckpoint.from_predictors(gp, cp, {"format": "qtmeta-1"})
+    assert list(ckpt.arrays) == [b.name for b in gp.params() + cp.params()]
+    loaded = MetaCheckpoint.from_payload(json.loads(json.dumps(ckpt.to_payload())))
+    gp2, cp2 = _predictors(small_space, meta_features, 20)
+    loaded.apply_to(gp2, cp2)
+    assert gp2.vector.values.tobytes() == gp.vector.values.tobytes()
+    assert cp2.vector.values.tobytes() == cp.vector.values.tobytes()
+    assert json.dumps(loaded.to_payload()) == json.dumps(ckpt.to_payload())
+
+
+def test_checkpoint_apply_validates_names_and_shapes(small_space, meta_features):
+    gp, cp = _predictors(small_space, meta_features, 21)
+    ckpt = MetaCheckpoint.from_predictors(gp, cp, {"format": "qtmeta-1"})
+    gp2, cp2 = _predictors(small_space, meta_features, 22, n_models=2)  # narrower model embedding
+    with pytest.raises(CheckpointFormatError, match="surrogate.model_embed.W"):
+        ckpt.apply_to_surrogate(gp2)
+    del ckpt.arrays["cost.head.b"]
+    ckpt.apply_to_surrogate(gp)  # the surrogate needs no cost block
+    with pytest.raises(CheckpointFormatError, match="missing block 'cost.head.b'"):
+        ckpt.apply_to(gp, cp)
+
+
+def test_checkpoint_rejects_bad_format(small_space, meta_features):
+    payload = _payload(small_space, meta_features)
+    payload["format"] = "qtck-0"
+    with pytest.raises(CheckpointFormatError, match="qtck-0"):
+        MetaCheckpoint.from_payload(payload)
+    payload = _payload(small_space, meta_features)
+    payload["manifest"]["format"] = "qtmeta-0"
+    with pytest.raises(CheckpointFormatError, match="qtmeta-0"):
+        MetaCheckpoint.from_payload(payload)
+
+
+def _malform(case, payload):
+    block = payload["blocks"][0]
+    if case == "not-an-object":
+        return payload["blocks"]
+    if case == "missing-blocks":
+        del payload["blocks"]
+    elif case == "missing-shape":
+        del block["shape"]
+    elif case == "missing-kernel-key":
+        del payload["kernel"]["log_nv"]
+    elif case == "bad-base64":
+        block["values_b64_f64le"] = "@" + block["values_b64_f64le"][1:]
+    elif case == "size-not-shape":
+        block["shape"] = [block["shape"][0] + 1, *block["shape"][1:]]
+    elif case == "shape-wildcard":
+        block["shape"] = [-1]
+    elif case == "kernel-not-a-number":
+        payload["kernel"]["log_sv"] = "0.5"
+    elif case == "kernel-nan":
+        payload["kernel"]["log_nv"] = math.nan
+    elif case == "kernel-inf":
+        payload["kernel"]["log_ls"] = math.inf
+    return payload
+
+
+MALFORMED = {
+    "not-an-object": "not a JSON object",
+    "missing-blocks": "missing key 'blocks'",
+    "missing-shape": "block 'surrogate.model_embed.W': missing key 'shape'",
+    "missing-kernel-key": "kernel: missing key 'log_nv'",
+    "bad-base64": "block 'surrogate.model_embed.W'",
+    "size-not-shape": "block 'surrogate.model_embed.W'",
+    "shape-wildcard": "block 'surrogate.model_embed.W'",
+    "kernel-not-a-number": "kernel: 'log_sv' holds a str",
+    "kernel-nan": "block 'kernel.log_nv' holds non-finite values",
+    "kernel-inf": "block 'kernel.log_ls' holds non-finite values",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_checkpoint_rejects_a_malformed_payload(small_space, meta_features, case):
+    # each case went through unchecked, or raised KeyError, TypeError,
+    # AttributeError or a bare ValueError, before the kernel floats were
+    # read as blocks are
+    payload = json.loads(json.dumps(_malform(case, _payload(small_space, meta_features))))
+    with pytest.raises(CheckpointFormatError) as info:
+        MetaCheckpoint.from_payload(payload)
+    assert MALFORMED[case] in str(info.value)
 
 
 def test_checkpoint_manifest_fields(micro_md, small_space):
@@ -307,5 +404,6 @@ def test_meta_train_records_the_cost_net_validation_mse(micro_md, small_space):
         return sum(log_cost_mse(cp.raw_batch(inputs), c) for inputs, _, c in batches) / len(batches)
 
     assert history[0] == val_mse()
-    load_into_blocks(cp.params(), result.checkpoint.cost_arrays)
+    for b in cp.params():
+        b.values[...] = result.checkpoint.arrays[b.name]
     assert history[result.val_nll_history.index(result.best_val_nll)] == val_mse()

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.costmodel import CostPredictor
 from graybo.neural import (
     Adam,
-    CheckpointFormatError,
     Conv1d,
     CurveEncoder,
     Dense,
@@ -27,10 +25,7 @@ from graybo.neural import (
     NonFiniteGradientError,
     ParamBlock,
     ParamVector,
-    blocks_to_payload,
     fit_best,
-    load_into_blocks,
-    payload_to_arrays,
     softplus,
 )
 from graybo.rng import substream
@@ -356,7 +351,8 @@ def test_param_vector_views_share_the_blocks_storage(small_space, meta_features)
     cp = CostPredictor(ctx, substream(40, "vector"))
     assert [b.name for b in cp.vector.blocks] == [b.name for b in cp.params()]
     other = CostPredictor(ctx, substream(41, "vector"))
-    load_into_blocks(cp.params(), {b.name: b.values for b in other.params()})
+    for b, o in zip(cp.params(), other.params()):
+        b.values[...] = o.values
     assert cp.vector.values.tobytes() == other.vector.values.tobytes()
     h = History()
     for pid in range(3):
@@ -452,32 +448,6 @@ def test_predictor_fit_with_a_nan_weight_keeps_parameters(model, small_space, me
         assert not math.isfinite(report.final)
         for p, b in zip(net.params(), before):
             assert np.array_equal(p.values, b, equal_nan=True)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_round_trip_bitwise():
-    net = _mlp(seed=19)
-    payload = blocks_to_payload({p.name: p.values for p in net.params()})
-    text = json.dumps(payload)
-    arrays = payload_to_arrays(json.loads(text))
-    for p in net.params():
-        assert np.array_equal(arrays[p.name], p.values)
-
-
-def test_checkpoint_load_into_blocks_validates_shape():
-    net = _mlp(seed=20)
-    arrays = payload_to_arrays(blocks_to_payload({p.name: p.values for p in net.params()}))
-    other = MLP("net", (6, 32, 32, 2), substream(21, "m"))
-    with pytest.raises(CheckpointFormatError):
-        load_into_blocks(other.params(), arrays)
-
-
-def test_checkpoint_rejects_bad_format():
-    with pytest.raises(CheckpointFormatError):
-        payload_to_arrays({"format": "qtck-0", "blocks": []})
 
 
 def test_fd_noise_floor_scales_with_objective():

@@ -1,5 +1,6 @@
 import ctypes
 import glob
+import json
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from oracle import (
 
 from graybo.core import History, Observation, encode, sample_pipeline
 from graybo.costmodel import CostPredictor
+from graybo.metalearn import MetaCheckpoint
 from graybo.optimizer import TuneConfig, tune
 from graybo.rng import substream
 from graybo.surrogate import (
@@ -456,13 +458,18 @@ def test_history_inputs_uses_strictly_earlier_epochs(ctx, small_space):
 
 
 def test_checkpoint_kernel_block_round_trip(ctx):
+    # the kernel's blocks are written as three floats and read back as blocks
     gp = DeepKernelGP(ctx, substream(30, "gp"))
     gp.kernel.log_ls.values[...] = 0.7
-    payload = gp.kernel_dict()
+    gp.kernel.log_nv.values[...] = -3.1
+    ckpt = MetaCheckpoint.from_predictors(gp, CostPredictor(ctx, substream(30, "cp")), {"format": "qtmeta-1"})
+    payload = json.loads(json.dumps(ckpt.to_payload()))
+    assert payload["kernel"] == {"log_ls": 0.7, "log_sv": 0.0, "log_nv": -3.1}
+    assert not any(entry["name"].startswith("kernel.") for entry in payload["blocks"])
     gp2 = DeepKernelGP(ctx, substream(31, "gp"))
-    gp2.load_kernel_dict(payload)
-    assert gp2.kernel.log_ls.values.item() == 0.7
-    assert set(payload) == {"log_ls", "log_sv", "log_nv"}
+    MetaCheckpoint.from_payload(payload).apply_to_surrogate(gp2)
+    for b, b2 in zip(gp.kernel.params(), gp2.kernel.params()):
+        assert b2.values.shape == () and b2.values.item() == b.values.item()
 
 
 # ---------------------------------------------------------------------------
